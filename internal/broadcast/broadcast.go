@@ -115,7 +115,7 @@ func assemble(srv *server.Server, log *server.CycleLog, program Program, require
 	b := &Bcast{
 		Cycle:      cycle,
 		TotalItems: srv.DBSize(),
-		positions:  make(map[model.ItemID][]int, len(program)),
+		Entries:    make([]Entry, len(program)),
 	}
 	if log != nil {
 		if log.Cycle != cycle {
@@ -132,16 +132,21 @@ func assemble(srv *server.Server, log *server.CycleLog, program Program, require
 		}
 	}
 
-	seen := make(map[model.ItemID]bool, srv.DBSize())
-	b.Entries = make([]Entry, len(program))
+	for i, item := range program {
+		b.Entries[i].Item = item
+	}
+	b.positions = indexPositions(b.Entries)
 	for i, item := range program {
 		versions, err := srv.Versions(item)
 		if err != nil {
 			return nil, fmt.Errorf("broadcast: program slot %d: %w", i, err)
 		}
-		cur := versions[len(versions)-1]
 		off := -1
-		if len(versions) > 1 && !seen[item] {
+		if first := b.positions[item][0]; first < i {
+			// Repeated slot (broadcast-disk program): point at the
+			// already-emitted group.
+			off = b.Entries[first].Overflow
+		} else if len(versions) > 1 {
 			off = len(b.Overflow)
 			// Reverse chronological: newest old version first, so a
 			// client scanning from the pointer stops at the first
@@ -149,22 +154,36 @@ func assemble(srv *server.Server, log *server.CycleLog, program Program, require
 			for j := len(versions) - 2; j >= 0; j-- {
 				b.Overflow = append(b.Overflow, OldVersion{Item: item, Version: versions[j]})
 			}
-		} else if len(versions) > 1 {
-			// Repeated slot (broadcast-disk program): point at the
-			// already-emitted group.
-			off = b.overflowIndexOf(item)
 		}
-		b.Entries[i] = Entry{Item: item, Version: cur, Overflow: off}
-		b.positions[item] = append(b.positions[item], i)
-		seen[item] = true
+		b.Entries[i].Version = versions[len(versions)-1]
+		b.Entries[i].Overflow = off
 	}
-	if requireFull && len(seen) != srv.DBSize() {
-		return nil, fmt.Errorf("broadcast: program covers %d of %d items", len(seen), srv.DBSize())
+	if requireFull && len(b.positions) != srv.DBSize() {
+		return nil, fmt.Errorf("broadcast: program covers %d of %d items", len(b.positions), srv.DBSize())
 	}
-	if len(seen) == 0 {
+	if len(b.positions) == 0 {
 		return nil, fmt.Errorf("broadcast: empty program")
 	}
 	return b, nil
+}
+
+// indexPositions maps every item to the ascending data-segment slots
+// carrying it. One backing array holds every slot number, and an item's
+// first occurrence is the capped window slots[i:i+1:i+1] into it, so only
+// broadcast-disk repeats (whose append overflows the cap) allocate a slice
+// of their own; a flat program allocates nothing per entry.
+func indexPositions(entries []Entry) map[model.ItemID][]int {
+	slots := make([]int, len(entries))
+	positions := make(map[model.ItemID][]int, len(entries))
+	for i, e := range entries {
+		slots[i] = i
+		if ps, ok := positions[e.Item]; ok {
+			positions[e.Item] = append(ps, i)
+		} else {
+			positions[e.Item] = slots[i : i+1 : i+1]
+		}
+	}
+	return positions
 }
 
 // New reconstructs a becast from its parts (the wire decoder's entry
@@ -182,27 +201,17 @@ func New(cycle model.Cycle, report []InvalidationEntry, delta sg.Delta, entries 
 		Overflow:     overflow,
 		NumCommitted: numCommitted,
 		TotalItems:   totalItems,
-		positions:    make(map[model.ItemID][]int, len(entries)),
 	}
 	for i, e := range entries {
 		if e.Overflow >= len(overflow) || e.Overflow < -1 {
 			return nil, fmt.Errorf("broadcast: slot %d overflow pointer %d out of range", i, e.Overflow)
 		}
-		b.positions[e.Item] = append(b.positions[e.Item], i)
 	}
+	b.positions = indexPositions(entries)
 	if b.TotalItems == 0 {
 		b.TotalItems = len(b.positions)
 	}
 	return b, nil
-}
-
-func (b *Bcast) overflowIndexOf(item model.ItemID) int {
-	for i, ov := range b.Overflow {
-		if ov.Item == item {
-			return i
-		}
-	}
-	return -1
 }
 
 // Position returns the first data-segment slot carrying item, or -1.

@@ -5,6 +5,7 @@ import (
 
 	"bpush/internal/model"
 	"bpush/internal/server"
+	"bpush/internal/sg"
 )
 
 func newServer(t *testing.T, d, s int) *server.Server {
@@ -319,5 +320,35 @@ func TestRepeatedProgramSharesOverflowGroup(t *testing.T) {
 	}
 	if count != 2 {
 		t.Errorf("overflow holds %d versions of item 1, want 2 (emitted once)", count)
+	}
+}
+
+// mapSink keeps reference maps on the heap, where the positions map lives.
+var mapSink map[model.ItemID][]int
+
+// runtimeMapAllocs is what make(map, n) allocates on its own. The runtime
+// splits a large map into fixed-size tables, so that count grows with n
+// whatever the caller does; the pin below subtracts it.
+func runtimeMapAllocs(n int) float64 {
+	return testing.AllocsPerRun(10, func() { mapSink = make(map[model.ItemID][]int, n) })
+}
+
+// TestNewAllocatesNothingPerEntry pins the flat slot positions: beyond the
+// positions map itself, New allocates the becast and one slot array,
+// whatever D is.
+func TestNewAllocatesNothingPerEntry(t *testing.T) {
+	for _, d := range []int{1000, 4000} {
+		entries := make([]Entry, d)
+		for i := range entries {
+			entries[i] = Entry{Item: model.ItemID(i + 1), Overflow: -1}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := New(1, nil, sg.Delta{}, entries, nil, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if own := allocs - runtimeMapAllocs(d); own > 2 {
+			t.Errorf("D=%d: New allocates %v objects besides the map, want 2", d, own)
+		}
 	}
 }

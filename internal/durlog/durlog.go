@@ -220,10 +220,11 @@ func (l *Log) scanSegment(si int, isTail bool) error {
 	size := info.Size()
 	var off int64
 	buf := make([]byte, recHeaderLen)
+	var rec []byte // one record buffer for the whole scan, grown as needed
 	for off < size {
 		kind, seq, payloadLen, err := l.readHeader(seg.f, off, size, buf)
 		if err == nil {
-			err = l.verifyRecord(seg.f, off, kind, seq, payloadLen)
+			rec, err = verifyRecord(seg.f, off, kind, seq, payloadLen, rec)
 		}
 		if err != nil {
 			if isTail {
@@ -280,18 +281,23 @@ func (l *Log) readHeader(f *os.File, off, size int64, buf []byte) (kind byte, se
 	return kind, seq, payloadLen, nil
 }
 
-// verifyRecord re-reads the whole record at off and checks its CRC.
-func (l *Log) verifyRecord(f *os.File, off int64, kind byte, seq uint64, payloadLen uint32) error {
-	rec := make([]byte, recOverhead+int(payloadLen))
+// verifyRecord re-reads the whole record at off into scratch (grown when
+// too small) and checks its CRC. It returns the buffer for the next call.
+func verifyRecord(f *os.File, off int64, kind byte, seq uint64, payloadLen uint32, scratch []byte) ([]byte, error) {
+	n := recOverhead + int(payloadLen)
+	if cap(scratch) < n {
+		scratch = make([]byte, n)
+	}
+	rec := scratch[:n]
 	if _, err := f.ReadAt(rec, off); err != nil {
-		return err
+		return scratch, err
 	}
 	body := rec[4 : recHeaderLen+int(payloadLen)]
 	want := be32(rec[len(rec)-recTrailerLen:])
 	if crc32.ChecksumIEEE(body) != want {
-		return fmt.Errorf("record CRC mismatch (kind %d, seq %d)", kind, seq)
+		return scratch, fmt.Errorf("record CRC mismatch (kind %d, seq %d)", kind, seq)
 	}
-	return nil
+	return scratch, nil
 }
 
 // truncateTail cuts the tail segment back to off, discarding the torn

@@ -260,3 +260,33 @@ func TestMissingSegmentIsCleanError(t *testing.T) {
 		t.Fatal("open succeeded with a missing middle segment")
 	}
 }
+
+// TestReadCycleAllocations pins the cold-read path: reading a logged
+// D=1000 cycle allocates the record buffer plus what an in-place decode
+// of the frame does, at most 24 objects.
+func TestReadCycleAllocations(t *testing.T) {
+	srv, err := server.New(server.Config{DBSize: 1000, MaxVersions: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := broadcast.Assemble(srv, nil, broadcast.FlatProgram(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := durlog.Open(t.TempDir(), durlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	if err := l.AppendCycle(b); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(10, func() {
+		if _, err := l.ReadCycle(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 24+1 {
+		t.Errorf("ReadCycle allocates %v objects, want <= 25", n)
+	}
+}

@@ -122,6 +122,12 @@ type memPipe struct {
 func newMemPipe(size int) *memPipe {
 	p := &memPipe{buf: make([]byte, size)}
 	p.cond = sync.NewCond(&p.mu)
+	// One timer per deadline for the pipe's lifetime, created stopped and
+	// re-armed with Reset.
+	p.rtimer = time.AfterFunc(time.Hour, p.expire)
+	p.rtimer.Stop()
+	p.wtimer = time.AfterFunc(time.Hour, p.expire)
+	p.wtimer.Stop()
 	return p
 }
 
@@ -197,6 +203,7 @@ func (p *memPipe) write(b []byte) (int, error) {
 func (p *memPipe) closeWrite() {
 	p.mu.Lock()
 	p.wclosed = true
+	p.stopTimers()
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
@@ -205,62 +212,63 @@ func (p *memPipe) closeRead() {
 	p.mu.Lock()
 	p.rclosed = true
 	p.n = 0
+	p.stopTimers()
 	p.mu.Unlock()
 	p.cond.Broadcast()
+}
+
+// stopTimers disarms both deadline timers: nothing blocks on a closed
+// pipe, and an armed timer would keep the pipe reachable until it fires.
+// The caller holds mu.
+func (p *memPipe) stopTimers() {
+	p.rtimer.Stop()
+	p.wtimer.Stop()
 }
 
 func (p *memPipe) setReadDeadline(t time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.rdeadline = t
-	p.rdlExpired = false
-	if p.rtimer != nil {
-		p.rtimer.Stop()
-		p.rtimer = nil
-	}
-	if t.IsZero() {
-		return
-	}
-	d := time.Until(t)
-	if d <= 0 {
-		p.rdlExpired = true
-		p.cond.Broadcast()
-		return
-	}
-	p.rtimer = time.AfterFunc(d, func() {
-		p.mu.Lock()
-		if p.rdeadline.Equal(t) {
-			p.rdlExpired = true
-		}
-		p.mu.Unlock()
-		p.cond.Broadcast()
-	})
+	p.rdlExpired = p.arm(p.rtimer, t)
 }
 
 func (p *memPipe) setWriteDeadline(t time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.wdeadline = t
-	p.wdlExpired = false
-	if p.wtimer != nil {
-		p.wtimer.Stop()
-		p.wtimer = nil
-	}
+	p.wdlExpired = p.arm(p.wtimer, t)
+}
+
+// arm points one direction's timer at deadline t and reports whether t
+// has already passed. Re-arming is a Reset of the pipe's own timer, so
+// setting a deadline allocates nothing per write. A zero or past
+// deadline, or a closed pipe (where nothing blocks), leaves it stopped.
+// The caller holds mu.
+func (p *memPipe) arm(timer *time.Timer, t time.Time) bool {
+	timer.Stop()
 	if t.IsZero() {
-		return
+		return false
 	}
 	d := time.Until(t)
 	if d <= 0 {
-		p.wdlExpired = true
 		p.cond.Broadcast()
-		return
+		return true
 	}
-	p.wtimer = time.AfterFunc(d, func() {
-		p.mu.Lock()
-		if p.wdeadline.Equal(t) {
-			p.wdlExpired = true
-		}
-		p.mu.Unlock()
-		p.cond.Broadcast()
-	})
+	if !p.wclosed && !p.rclosed {
+		timer.Reset(d)
+	}
+	return false
 }
+
+// expire is both timers' callback. A timer can fire for a deadline that
+// has since moved, so it re-derives each direction's flag from the
+// deadline current now rather than the one it was armed for.
+func (p *memPipe) expire() {
+	p.mu.Lock()
+	p.rdlExpired = deadlinePassed(p.rdeadline)
+	p.wdlExpired = deadlinePassed(p.wdeadline)
+	p.mu.Unlock()
+	p.cond.Broadcast()
+}
+
+func deadlinePassed(t time.Time) bool { return !t.IsZero() && !time.Now().Before(t) }

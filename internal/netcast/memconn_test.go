@@ -165,3 +165,69 @@ func TestMemConnCloseUnblocksReader(t *testing.T) {
 		t.Fatal("Close did not unblock the reader")
 	}
 }
+
+// TestMemConnDeadlineTimerReused: the broadcaster sets a write deadline
+// before every frame, so re-arming must reuse the pipe's one timer
+// instead of allocating a timer and a closure per write, and closing the
+// conn must disarm it so the pipe is not kept alive until it fires.
+func TestMemConnDeadlineTimerReused(t *testing.T) {
+	a, b := newMemConnPair()
+	defer func() { _ = b.Close() }()
+	_ = a.SetWriteDeadline(time.Now().Add(time.Hour))
+	if n := testing.AllocsPerRun(100, func() {
+		_ = a.SetWriteDeadline(time.Now().Add(time.Hour))
+	}); n != 0 {
+		t.Errorf("SetWriteDeadline allocates %v objects per call after the first, want 0", n)
+	}
+	_ = a.Close()
+	if a.out.wtimer.Stop() {
+		t.Error("write deadline timer still armed after Close")
+	}
+}
+
+// TestMemConnDeadlineMovedLater: pushing a deadline back must not let the
+// timer armed for the earlier one fail the write early.
+func TestMemConnDeadlineMovedLater(t *testing.T) {
+	a, b := newMemConnPair()
+	defer func() { _ = a.Close(); _ = b.Close() }()
+	if _, err := a.Write(make([]byte, memBufSize)); err != nil {
+		t.Fatal(err)
+	}
+	_ = a.SetWriteDeadline(time.Now().Add(10 * time.Millisecond))
+	later := time.Now().Add(150 * time.Millisecond)
+	_ = a.SetWriteDeadline(later)
+	_, err := a.Write([]byte("overflow"))
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("write error = %v, want net.Error timeout", err)
+	}
+	if now := time.Now(); now.Before(later) {
+		t.Fatalf("write failed %v before its deadline", later.Sub(now))
+	}
+}
+
+// TestMemConnDeadlineReleasesBlockedWrite: a deadline set while a write
+// is already blocked on a full buffer still expires it with a timeout.
+func TestMemConnDeadlineReleasesBlockedWrite(t *testing.T) {
+	a, b := newMemConnPair()
+	defer func() { _ = a.Close(); _ = b.Close() }()
+	if _, err := a.Write(make([]byte, memBufSize)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.Write([]byte("overflow"))
+		done <- err
+	}()
+	time.Sleep(10 * time.Millisecond)
+	_ = a.SetWriteDeadline(time.Now().Add(20 * time.Millisecond))
+	select {
+	case err := <-done:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("blocked write error = %v, want net.Error timeout", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("expired deadline did not release the blocked write")
+	}
+}

@@ -13,23 +13,9 @@ import (
 // panic and never allocate absurdly, only return errors or valid becasts.
 // Valid frames are seeded so mutation explores deep into the format.
 func FuzzDecode(f *testing.F) {
-	srv, err := server.New(server.Config{DBSize: 8, MaxVersions: 2})
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range decodeSeeds(f) {
+		f.Add(seed)
 	}
-	b, err := broadcast.Assemble(srv, nil, broadcast.FlatProgram(8))
-	if err != nil {
-		f.Fatal(err)
-	}
-	frame, err := Encode(b)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(frame)
-	f.Add([]byte{})
-	f.Add([]byte{0x42, 0x50, 0x53, 0x48})
-	f.Add(append(frame[:20:20], 0xff, 0xff, 0xff, 0xff))
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decode(bytes.NewReader(data))
 		if err != nil {
@@ -58,44 +44,12 @@ func FuzzDecode(f *testing.F) {
 // is byte-identical to what it read (the flips cancelled out); silently
 // decoding different bytes into data would hand garbage to a scheme.
 func FuzzFrameCorruption(f *testing.F) {
-	srv, err := server.New(server.Config{DBSize: 16, MaxVersions: 3})
-	if err != nil {
-		f.Fatal(err)
+	frames := corruptionFrames(f)
+	for _, d := range corruptionSeeds {
+		f.Add(d.which, d.pos, d.mask, d.cut)
 	}
-	prog := broadcast.FlatProgram(16)
-	var frames [][]byte
-	var log *server.CycleLog
-	for i := 0; i < 3; i++ {
-		b, err := broadcast.Assemble(srv, log, prog)
-		if err != nil {
-			f.Fatal(err)
-		}
-		frame, err := Encode(b)
-		if err != nil {
-			f.Fatal(err)
-		}
-		frames = append(frames, frame)
-		item := model.ItemID(i*3 + 1)
-		log, err = srv.CommitAndAdvance([]model.ServerTx{{Ops: []model.Op{
-			{Kind: model.OpRead, Item: item},
-			{Kind: model.OpWrite, Item: item},
-		}}})
-		if err != nil {
-			f.Fatal(err)
-		}
-	}
-
-	f.Add(uint8(0), uint32(5), uint8(0xff), uint32(0))
-	f.Add(uint8(1), uint32(0), uint8(0x01), uint32(8))
-	f.Add(uint8(2), uint32(100), uint8(0x80), uint32(50))
-
 	f.Fuzz(func(t *testing.T, which uint8, pos uint32, mask uint8, cut uint32) {
-		frame := frames[int(which)%len(frames)]
-		damaged := append([]byte(nil), frame...)
-		damaged[int(pos)%len(damaged)] ^= mask
-		if n := int(cut) % (len(damaged) + 1); n < len(damaged) {
-			damaged = damaged[:n]
-		}
+		damaged := damage{which, pos, mask, cut}.apply(frames)
 		got, err := Decode(bytes.NewReader(damaged))
 		if err != nil {
 			return // rejected: the only acceptable failure mode
@@ -109,4 +63,86 @@ func FuzzFrameCorruption(f *testing.F) {
 				mask, pos, cut)
 		}
 	})
+}
+
+// decodeSeeds is FuzzDecode's seed corpus: a valid frame, an empty
+// stream, a bare magic, and a header claiming an absurd segment length.
+func decodeSeeds(tb testing.TB) [][]byte {
+	srv, err := server.New(server.Config{DBSize: 8, MaxVersions: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := broadcast.Assemble(srv, nil, broadcast.FlatProgram(8))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frame, err := Encode(b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{
+		frame,
+		{},
+		{0x42, 0x50, 0x53, 0x48},
+		append(frame[:20:20], 0xff, 0xff, 0xff, 0xff),
+	}
+}
+
+// corruptionFrames encodes the three consecutive cycles FuzzFrameCorruption
+// damages: the first has no control segment, the later ones carry a
+// report, a delta and overflow versions.
+func corruptionFrames(tb testing.TB) [][]byte {
+	srv, err := server.New(server.Config{DBSize: 16, MaxVersions: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog := broadcast.FlatProgram(16)
+	var frames [][]byte
+	var log *server.CycleLog
+	for i := 0; i < 3; i++ {
+		b, err := broadcast.Assemble(srv, log, prog)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frame, err := Encode(b)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frames = append(frames, frame)
+		item := model.ItemID(i*3 + 1)
+		log, err = srv.CommitAndAdvance([]model.ServerTx{{Ops: []model.Op{
+			{Kind: model.OpRead, Item: item},
+			{Kind: model.OpWrite, Item: item},
+		}}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return frames
+}
+
+// damage is one fault-injector mutation: XOR mask into the byte at pos of
+// frame which, then cut the frame to cut bytes.
+type damage struct {
+	which uint8
+	pos   uint32
+	mask  uint8
+	cut   uint32
+}
+
+// corruptionSeeds is FuzzFrameCorruption's seed corpus.
+var corruptionSeeds = []damage{
+	{0, 5, 0xff, 0},
+	{1, 0, 0x01, 8},
+	{2, 100, 0x80, 50},
+}
+
+func (d damage) apply(frames [][]byte) []byte {
+	frame := frames[int(d.which)%len(frames)]
+	damaged := append([]byte(nil), frame...)
+	damaged[int(d.pos)%len(damaged)] ^= d.mask
+	if n := int(d.cut) % (len(damaged) + 1); n < len(damaged) {
+		damaged = damaged[:n]
+	}
+	return damaged
 }

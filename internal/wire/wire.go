@@ -19,10 +19,26 @@
 //	crc32        uint32 (IEEE, over everything after the magic)
 //
 // TxID is { cycle u64, seq u32 }.
+//
+// The codec is hand-written over encoding/binary's byte-order helpers:
+// Encode sizes the frame exactly from the segment counts and appends into
+// one buffer; Decode parses fixed-width elements straight out of a
+// *bufio.Reader's buffer (Peek/Discard), out of the caller's slice
+// (DecodeBytes), or, for any other reader, one element at a time through
+// a fixed array. Decode keeps two contracts that stream consumers (the
+// tuner's resync, tee-based frame capture) rely on:
+//
+//   - it never reads past the end of a frame, so frames decode back to
+//     back from one stream;
+//   - it consumes exactly what a field-by-field reader would: the whole
+//     frame on success, everything available on a short read, and on a
+//     structural error (bad magic or version, an oversized length, an
+//     overflow pointer below -1, a checksum mismatch) everything through
+//     the offending element and nothing after it.
 package wire
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -66,69 +82,89 @@ func segCap(n int) int {
 	return n
 }
 
+// Element widths of the v1 layout, in bytes.
+const (
+	txWidth       = 8 + 4
+	headerWidth   = 8 + 4 + 4 // cycle, numCommitted, totalItems (after magic and version)
+	reportWidth   = 4 + txWidth
+	edgeWidth     = 2 * txWidth
+	oldWidth      = 4 + 8 + 8 + txWidth
+	entryWidth    = oldWidth + 4
+	maxElemWidth  = entryWidth
+	frameOverhead = 4 + 1 + headerWidth + 5*4 + 4 // magic, version, header, five lengths, crc
+)
+
 // Encode serializes a becast into a frame.
 func Encode(b *broadcast.Bcast) ([]byte, error) {
 	if b == nil || len(b.Entries) == 0 {
 		return nil, fmt.Errorf("%w: nil or empty becast", ErrBadFrame)
 	}
-	var buf bytes.Buffer
-	//lint:allow hotalloc two helper closures per frame encode: once per cycle on air, not per client
-	w := func(v any) {
-		// bytes.Buffer writes cannot fail.
-		_ = binary.Write(&buf, binary.BigEndian, v)
+	size := frameOverhead +
+		len(b.Report)*reportWidth +
+		len(b.Delta.Nodes)*txWidth +
+		len(b.Delta.Edges)*edgeWidth +
+		len(b.Entries)*entryWidth +
+		len(b.Overflow)*oldWidth
+	if size > MaxFrameSize {
+		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrBadFrame, size)
 	}
-	//lint:allow hotalloc two helper closures per frame encode: once per cycle on air, not per client
-	writeTx := func(t model.TxID) {
-		w(uint64(t.Cycle))
-		w(t.Seq)
-	}
-	w(Magic)
-	w(Version)
-	w(uint64(b.Cycle))
-	w(uint32(b.NumCommitted))
-	w(uint32(b.TotalItems))
+	be := binary.BigEndian
+	//lint:allow hotalloc the retained frame: one exactly sized buffer per encode, owned by the caller from here on
+	p := make([]byte, 0, size)
+	p = be.AppendUint32(p, Magic)
+	p = append(p, Version)
+	p = be.AppendUint64(p, uint64(b.Cycle))
+	p = be.AppendUint32(p, uint32(b.NumCommitted))
+	p = be.AppendUint32(p, uint32(b.TotalItems))
 
-	w(uint32(len(b.Report)))
+	p = be.AppendUint32(p, uint32(len(b.Report)))
 	for _, e := range b.Report {
-		w(uint32(e.Item))
-		writeTx(e.FirstWriter)
+		p = be.AppendUint32(p, uint32(e.Item))
+		p = appendTx(p, e.FirstWriter)
 	}
-	w(uint32(len(b.Delta.Nodes)))
+	p = be.AppendUint32(p, uint32(len(b.Delta.Nodes)))
 	for _, n := range b.Delta.Nodes {
-		writeTx(n)
+		p = appendTx(p, n)
 	}
-	w(uint32(len(b.Delta.Edges)))
+	p = be.AppendUint32(p, uint32(len(b.Delta.Edges)))
 	for _, e := range b.Delta.Edges {
-		writeTx(e.From)
-		writeTx(e.To)
+		p = appendTx(p, e.From)
+		p = appendTx(p, e.To)
 	}
-	w(uint32(len(b.Entries)))
+	p = be.AppendUint32(p, uint32(len(b.Entries)))
 	for _, e := range b.Entries {
-		w(uint32(e.Item))
-		w(int64(e.Version.Value))
-		w(uint64(e.Version.Cycle))
-		writeTx(e.Version.Writer)
-		w(int32(e.Overflow))
+		p = appendOld(p, e.Item, e.Version)
+		p = be.AppendUint32(p, uint32(int32(e.Overflow)))
 	}
-	w(uint32(len(b.Overflow)))
+	p = be.AppendUint32(p, uint32(len(b.Overflow)))
 	for _, ov := range b.Overflow {
-		w(uint32(ov.Item))
-		w(int64(ov.Version.Value))
-		w(uint64(ov.Version.Cycle))
-		writeTx(ov.Version.Writer)
+		p = appendOld(p, ov.Item, ov.Version)
 	}
-	sum := crc32.ChecksumIEEE(buf.Bytes()[4:])
-	w(sum)
-	if buf.Len() > MaxFrameSize {
-		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrBadFrame, buf.Len())
-	}
-	return buf.Bytes(), nil
+	return be.AppendUint32(p, crc32.ChecksumIEEE(p[4:])), nil
+}
+
+func appendTx(p []byte, t model.TxID) []byte {
+	p = binary.BigEndian.AppendUint64(p, uint64(t.Cycle))
+	return binary.BigEndian.AppendUint32(p, t.Seq)
+}
+
+// appendOld appends the { item, value, verCycle, writer } prefix shared by
+// data entries and overflow slots.
+func appendOld(p []byte, item model.ItemID, v model.Version) []byte {
+	p = binary.BigEndian.AppendUint32(p, uint32(item))
+	p = binary.BigEndian.AppendUint64(p, uint64(int64(v.Value)))
+	p = binary.BigEndian.AppendUint64(p, uint64(v.Cycle))
+	return appendTx(p, v.Writer)
 }
 
 // Decode reads one frame from r and reconstructs the becast. Decode never
 // reads past the end of the frame, so frames can be decoded back to back
-// from one stream; pass a *bufio.Reader for performance (Decode issues
-// many small reads).
+// from one stream. Pass a *bufio.Reader for performance: Decode then
+// parses elements in place in its buffer; any other reader is read one
+// element at a time. The error is io.EOF when r ends before the magic,
+// io.ErrUnexpectedEOF when it ends mid-frame, a wrapped ErrBadFrame for a
+// malformed or corrupt frame, broadcast.New's error for an intact frame
+// it rejects, and otherwise the reader's own error.
 //
 // The shared control-info index (broadcast.CycleIndex) never crosses the
 // wire: it is derived state, reconstructible from the frame's control
@@ -137,193 +173,226 @@ func Encode(b *broadcast.Bcast) ([]byte, error) {
 // does not cover. Decoded becasts therefore start unindexed and each
 // consumer rebuilds its view locally — identical results either way.
 func Decode(r io.Reader) (*broadcast.Bcast, error) {
-	br := r
-	var magic uint32
-	if err := binary.Read(br, binary.BigEndian, &magic); err != nil {
+	s := source{r: r}
+	if br, ok := r.(*bufio.Reader); ok && br.Size() >= maxElemWidth {
+		s = source{br: br}
+	}
+	return s.decode(nil)
+}
+
+// DecodeBytes decodes a single frame held in memory, parsing it in place
+// — the fault layer's entry point for checking whether a damaged frame
+// still passes the checksum, and durlog's for reading a logged cycle.
+// Trailing bytes beyond the frame are ignored.
+func DecodeBytes(frame []byte) (*broadcast.Bcast, error) {
+	var s source
+	return s.decode(frame)
+}
+
+// source is the byte source of one decode. With br set, elements are
+// peeked zero-copy from its buffer; with r set, they are read one at a
+// time into buf; with neither, they are sliced from the in-memory frame,
+// which is passed alongside as p (never stored) and read from off.
+type source struct {
+	br  *bufio.Reader
+	r   io.Reader
+	off int
+	crc uint32
+	buf [maxElemWidth]byte
+}
+
+// window returns between 1 and k whole elements of width w without
+// consuming them — as many as are already at hand, so a buffered source
+// never blocks for bytes a later element may not need. On a short source
+// it consumes what is left and returns io.EOF if that was nothing,
+// io.ErrUnexpectedEOF otherwise, or the reader's own error.
+func (s *source) window(p []byte, w, k int) ([]byte, error) {
+	switch {
+	case s.br != nil:
+		m := min(k, s.br.Buffered()/w)
+		b, err := s.br.Peek(max(m, 1) * w)
+		if err != nil {
+			n, _ := s.br.Discard(len(b))
+			return nil, shortRead(n, err)
+		}
+		return b, nil
+	case s.r != nil:
+		n, err := io.ReadFull(s.r, s.buf[:w])
+		if err != nil {
+			return nil, shortRead(n, err)
+		}
+		return s.buf[:w], nil
+	default:
+		rest := len(p) - s.off
+		if rest < w {
+			s.off = len(p)
+			return nil, shortRead(rest, io.EOF)
+		}
+		return p[s.off : s.off+min(k, rest/w)*w], nil
+	}
+}
+
+// consume takes the first n bytes of the last window and folds them into
+// the checksum. Discarding bytes a *bufio.Reader already holds does not
+// refill its buffer, so the window stays readable until the next one.
+func (s *source) consume(b []byte, n int) {
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, b[:n])
+	switch {
+	case s.br != nil:
+		_, _ = s.br.Discard(n) // n bytes were just peeked
+	case s.r == nil:
+		s.off += n
+	}
+}
+
+// element reads and consumes the next w bytes.
+func (s *source) element(p []byte, w int) ([]byte, error) {
+	b, err := s.window(p, w, 1)
+	if err != nil {
+		return nil, err
+	}
+	s.consume(b, w)
+	return b, nil
+}
+
+// length reads a segment length field.
+func (s *source) length(p []byte) (int, error) {
+	b, err := s.element(p, 4)
+	if err != nil {
+		return 0, frameErr(err)
+	}
+	n := binary.BigEndian.Uint32(b)
+	if n > maxSegment {
+		return 0, fmt.Errorf("%w: segment length %d", ErrBadFrame, n)
+	}
+	return int(n), nil
+}
+
+// segment reads a length field and then that many elements of width w,
+// parsing them window by window. An element that fails to parse is
+// consumed, and nothing after it.
+func segment[T any](s *source, p []byte, w int, parse func(b []byte, i int) (T, error)) ([]T, error) {
+	n, err := s.length(p)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, 0, segCap(n))
+	for len(out) < n {
+		b, err := s.window(p, w, n-len(out))
+		if err != nil {
+			return nil, frameErr(err)
+		}
+		for at := 0; at < len(b); at += w {
+			v, err := parse(b[at:at+w], len(out))
+			if err != nil {
+				s.consume(b, at+w)
+				return nil, err
+			}
+			out = append(out, v)
+		}
+		s.consume(b, len(b))
+	}
+	return out, nil
+}
+
+func (s *source) decode(p []byte) (*broadcast.Bcast, error) {
+	b, err := s.element(p, 4)
+	if err != nil {
 		return nil, err // includes io.EOF for clean stream end
 	}
-	if magic != Magic {
+	if magic := binary.BigEndian.Uint32(b); magic != Magic {
 		return nil, fmt.Errorf("%w: magic %#x", ErrBadFrame, magic)
 	}
+	s.crc = 0 // everything after the magic is checksummed
 
-	// Everything after the magic is checksummed; tee it.
-	sum := crc32.NewIEEE()
-	tr := io.TeeReader(br, sum)
-	rd := func(v any) error { return binary.Read(tr, binary.BigEndian, v) }
-	readTx := func() (model.TxID, error) {
-		var c uint64
-		var s uint32
-		if err := rd(&c); err != nil {
-			return model.TxID{}, err
-		}
-		if err := rd(&s); err != nil {
-			return model.TxID{}, err
-		}
-		return model.TxID{Cycle: model.Cycle(c), Seq: s}, nil
-	}
-	readLen := func() (int, error) {
-		var n uint32
-		if err := rd(&n); err != nil {
-			return 0, err
-		}
-		if n > maxSegment {
-			return 0, fmt.Errorf("%w: segment length %d", ErrBadFrame, n)
-		}
-		return int(n), nil
-	}
-
-	var version uint8
-	if err := rd(&version); err != nil {
+	if b, err = s.element(p, 1); err != nil {
 		return nil, frameErr(err)
 	}
-	if version != Version {
-		return nil, fmt.Errorf("%w: version %d", ErrBadFrame, version)
+	if b[0] != Version {
+		return nil, fmt.Errorf("%w: version %d", ErrBadFrame, b[0])
 	}
-	var cycle uint64
-	var committed, totalItems uint32
-	if err := rd(&cycle); err != nil {
+	if b, err = s.element(p, headerWidth); err != nil {
 		return nil, frameErr(err)
 	}
-	if err := rd(&committed); err != nil {
-		return nil, frameErr(err)
-	}
-	if err := rd(&totalItems); err != nil {
-		return nil, frameErr(err)
-	}
+	cycle := model.Cycle(binary.BigEndian.Uint64(b))
+	committed := binary.BigEndian.Uint32(b[8:])
+	totalItems := binary.BigEndian.Uint32(b[12:])
 	if totalItems > maxSegment {
 		return nil, fmt.Errorf("%w: totalItems %d", ErrBadFrame, totalItems)
 	}
 
-	n, err := readLen()
+	report, err := segment(s, p, reportWidth, parseReport)
 	if err != nil {
-		return nil, frameErr(err)
+		return nil, err
 	}
-	report := make([]broadcast.InvalidationEntry, 0, segCap(n))
-	for i := 0; i < n; i++ {
-		var item uint32
-		if err := rd(&item); err != nil {
-			return nil, frameErr(err)
-		}
-		tx, err := readTx()
-		if err != nil {
-			return nil, frameErr(err)
-		}
-		report = append(report, broadcast.InvalidationEntry{Item: model.ItemID(item), FirstWriter: tx})
+	delta := sg.Delta{Cycle: cycle}
+	if delta.Nodes, err = segment(s, p, txWidth, parseNode); err != nil {
+		return nil, err
+	}
+	if delta.Edges, err = segment(s, p, edgeWidth, parseEdge); err != nil {
+		return nil, err
+	}
+	entries, err := segment(s, p, entryWidth, parseEntry)
+	if err != nil {
+		return nil, err
+	}
+	overflow, err := segment(s, p, oldWidth, parseOld)
+	if err != nil {
+		return nil, err
 	}
 
-	n, err = readLen()
-	if err != nil {
+	want := s.crc
+	if b, err = s.element(p, 4); err != nil {
 		return nil, frameErr(err)
 	}
-	delta := sg.Delta{Cycle: model.Cycle(cycle), Nodes: make([]model.TxID, 0, segCap(n))}
-	for i := 0; i < n; i++ {
-		tx, err := readTx()
-		if err != nil {
-			return nil, frameErr(err)
-		}
-		delta.Nodes = append(delta.Nodes, tx)
-	}
-	n, err = readLen()
-	if err != nil {
-		return nil, frameErr(err)
-	}
-	delta.Edges = make([]sg.Edge, 0, segCap(n))
-	for i := 0; i < n; i++ {
-		from, err := readTx()
-		if err != nil {
-			return nil, frameErr(err)
-		}
-		to, err := readTx()
-		if err != nil {
-			return nil, frameErr(err)
-		}
-		delta.Edges = append(delta.Edges, sg.Edge{From: from, To: to})
-	}
-
-	n, err = readLen()
-	if err != nil {
-		return nil, frameErr(err)
-	}
-	entries := make([]broadcast.Entry, 0, segCap(n))
-	for i := 0; i < n; i++ {
-		var item uint32
-		var value int64
-		var verCycle uint64
-		var overflow int32
-		if err := rd(&item); err != nil {
-			return nil, frameErr(err)
-		}
-		if err := rd(&value); err != nil {
-			return nil, frameErr(err)
-		}
-		if err := rd(&verCycle); err != nil {
-			return nil, frameErr(err)
-		}
-		writer, err := readTx()
-		if err != nil {
-			return nil, frameErr(err)
-		}
-		if err := rd(&overflow); err != nil {
-			return nil, frameErr(err)
-		}
-		if overflow < -1 {
-			return nil, fmt.Errorf("%w: entry %d overflow pointer %d", ErrBadFrame, i, overflow)
-		}
-		entries = append(entries, broadcast.Entry{
-			Item: model.ItemID(item),
-			Version: model.Version{
-				Value: model.Value(value), Cycle: model.Cycle(verCycle), Writer: writer,
-			},
-			Overflow: int(overflow),
-		})
-	}
-
-	n, err = readLen()
-	if err != nil {
-		return nil, frameErr(err)
-	}
-	overflow := make([]broadcast.OldVersion, 0, segCap(n))
-	for i := 0; i < n; i++ {
-		var item uint32
-		var value int64
-		var verCycle uint64
-		if err := rd(&item); err != nil {
-			return nil, frameErr(err)
-		}
-		if err := rd(&value); err != nil {
-			return nil, frameErr(err)
-		}
-		if err := rd(&verCycle); err != nil {
-			return nil, frameErr(err)
-		}
-		writer, err := readTx()
-		if err != nil {
-			return nil, frameErr(err)
-		}
-		overflow = append(overflow, broadcast.OldVersion{
-			Item: model.ItemID(item),
-			Version: model.Version{
-				Value: model.Value(value), Cycle: model.Cycle(verCycle), Writer: writer,
-			},
-		})
-	}
-
-	want := sum.Sum32()
-	var got uint32
-	if err := binary.Read(br, binary.BigEndian, &got); err != nil {
-		return nil, frameErr(err)
-	}
-	if got != want {
+	if got := binary.BigEndian.Uint32(b); got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch %#x != %#x", ErrBadFrame, got, want)
 	}
-	return broadcast.New(model.Cycle(cycle), report, delta, entries, overflow, int(committed), int(totalItems))
+	return broadcast.New(cycle, report, delta, entries, overflow, int(committed), int(totalItems))
 }
 
-// DecodeBytes decodes a single frame held in memory — the fault layer's
-// entry point for checking whether a damaged frame still passes the
-// checksum. Trailing bytes beyond the frame are ignored.
-func DecodeBytes(frame []byte) (*broadcast.Bcast, error) {
-	return Decode(bytes.NewReader(frame))
+func txAt(b []byte) model.TxID {
+	return model.TxID{Cycle: model.Cycle(binary.BigEndian.Uint64(b)), Seq: binary.BigEndian.Uint32(b[8:])}
+}
+
+// versionAt parses the { value, verCycle, writer } run after an item.
+func versionAt(b []byte) model.Version {
+	return model.Version{
+		Value:  model.Value(int64(binary.BigEndian.Uint64(b))),
+		Cycle:  model.Cycle(binary.BigEndian.Uint64(b[8:])),
+		Writer: txAt(b[16:]),
+	}
+}
+
+func parseReport(b []byte, _ int) (broadcast.InvalidationEntry, error) {
+	return broadcast.InvalidationEntry{Item: model.ItemID(binary.BigEndian.Uint32(b)), FirstWriter: txAt(b[4:])}, nil
+}
+
+func parseNode(b []byte, _ int) (model.TxID, error) { return txAt(b), nil }
+
+func parseEdge(b []byte, _ int) (sg.Edge, error) {
+	return sg.Edge{From: txAt(b), To: txAt(b[txWidth:])}, nil
+}
+
+func parseEntry(b []byte, i int) (broadcast.Entry, error) {
+	overflow := int32(binary.BigEndian.Uint32(b[oldWidth:]))
+	if overflow < -1 {
+		return broadcast.Entry{}, fmt.Errorf("%w: entry %d overflow pointer %d", ErrBadFrame, i, overflow)
+	}
+	return broadcast.Entry{Item: model.ItemID(binary.BigEndian.Uint32(b)), Version: versionAt(b[4:]), Overflow: int(overflow)}, nil
+}
+
+func parseOld(b []byte, _ int) (broadcast.OldVersion, error) {
+	return broadcast.OldVersion{Item: model.ItemID(binary.BigEndian.Uint32(b)), Version: versionAt(b[4:])}, nil
+}
+
+// shortRead classifies a read that stopped after n of the wanted bytes the
+// way io.ReadFull does: io.EOF only when nothing was read.
+func shortRead(n int, err error) error {
+	if err == io.EOF && n > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // frameErr maps a mid-frame EOF to ErrUnexpectedEOF so clean end-of-stream

@@ -1,10 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -123,22 +123,17 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
-	corrupted := 0
-	for trial := 0; trial < 50; trial++ {
-		mut := make([]byte, len(frame))
-		copy(mut, frame)
-		// Flip one byte after the header (avoid magic/version so we test
-		// the checksum, not the header checks, and avoid the length
-		// fields that can make the read run off the end).
-		idx := 17 + rng.Intn(len(mut)-17)
+	// Flip every byte after the magic, one at a time: version, header,
+	// length fields, elements and the checksum itself. Where the damage
+	// leaves the layout intact, CRC-32 catches it (it detects every burst
+	// of up to 32 bits); where it hits the version or a length, the
+	// structure checks or the now misaligned checksum must.
+	for idx := 4; idx < len(frame); idx++ {
+		mut := append([]byte(nil), frame...)
 		mut[idx] ^= 0xff
-		if _, err := Decode(bytes.NewReader(mut)); err != nil {
-			corrupted++
+		if _, err := Decode(bytes.NewReader(mut)); err == nil {
+			t.Errorf("flipped byte %d of %d decoded without error", idx, len(frame))
 		}
-	}
-	if corrupted < 45 {
-		t.Errorf("only %d/50 corruptions detected", corrupted)
 	}
 }
 
@@ -272,5 +267,96 @@ func TestDecodedBecastCarriesNoIndex(t *testing.T) {
 	}
 	if got.SharedIndex() != nil {
 		t.Error("decoded becast carries a shared index")
+	}
+}
+
+// mapSink keeps reference maps on the heap, where a becast's positions
+// map lives.
+var mapSink map[model.ItemID][]int
+
+// runtimeMapAllocs is what make(map, n) allocates on its own: the runtime
+// splits a large map into fixed-size tables, so that count grows with n
+// whatever the decoder does.
+func runtimeMapAllocs(n int) float64 {
+	return testing.AllocsPerRun(10, func() { mapSink = make(map[model.ItemID][]int, n) })
+}
+
+// pinFrame encodes a D-item becast with a report, a delta and overflow
+// versions.
+func pinFrame(t *testing.T, d int) []byte {
+	t.Helper()
+	srv, err := server.New(server.Config{DBSize: d, MaxVersions: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log *server.CycleLog
+	for c := 0; c < 3; c++ {
+		var txs []model.ServerTx
+		for item := 1 + c; item <= d; item += 7 {
+			id := model.ItemID(item)
+			txs = append(txs, model.ServerTx{Ops: []model.Op{{Kind: model.OpRead, Item: id}, {Kind: model.OpWrite, Item: id}}})
+		}
+		if log, err = srv.CommitAndAdvance(txs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := broadcast.Assemble(srv, log, broadcast.FlatProgram(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestCodecAllocations pins the codec's allocation counts so a return to
+// per-field allocation cannot land silently: Encode allocates only the
+// frame, and Decode allocates a fixed handful of objects (the segment
+// slices, the becast, its slot array and positions map) whatever D is.
+func TestCodecAllocations(t *testing.T) {
+	frame := pinFrame(t, 1000)
+	b, err := DecodeBytes(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := Encode(b); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Encode allocates %v objects, want 1", n)
+	}
+
+	decodeAllocs := func(frame []byte) (buffered, inPlace float64) {
+		r := bytes.NewReader(frame)
+		br := bufio.NewReaderSize(r, 1<<16)
+		buffered = testing.AllocsPerRun(10, func() {
+			r.Reset(frame)
+			br.Reset(r)
+			if _, err := Decode(br); err != nil {
+				t.Fatal(err)
+			}
+		})
+		inPlace = testing.AllocsPerRun(10, func() {
+			if _, err := DecodeBytes(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return buffered, inPlace
+	}
+	const limit = 24
+	small, smallBytes := decodeAllocs(frame)
+	if small > limit || smallBytes > limit {
+		t.Errorf("D=1000: Decode allocates %v objects from a *bufio.Reader and %v in place, want <= %d", small, smallBytes, limit)
+	}
+	// Beyond the runtime's own map tables, D=4000 costs at most 8 more.
+	large, largeBytes := decodeAllocs(pinFrame(t, 4000))
+	tables := runtimeMapAllocs(4000) - runtimeMapAllocs(1000)
+	t.Logf("Decode allocs: D=1000 %v buffered, %v in place; D=4000 %v / %v, %v more map tables", small, smallBytes, large, largeBytes, tables)
+	if large-tables > small+8 || largeBytes-tables > smallBytes+8 {
+		t.Errorf("D=4000: Decode allocates %v / %v objects (%v of them map tables), D=1000 %v / %v: the count grows with D",
+			large, largeBytes, tables, small, smallBytes)
 	}
 }
