@@ -185,7 +185,7 @@ func TestLoadHarnessAttribution(t *testing.T) {
 	if rep.LoadClients != 3 {
 		t.Fatalf("load_clients = %d, want 3", rep.LoadClients)
 	}
-	for _, name := range []string{"span.commit_ns", "span.encode_ns", "span.on_air_ns", "span.receive_ns", "span.read_ns", "net.queue_depth"} {
+	for _, name := range []string{"span.commit_ns", "span.on_air_ns", "span.receive_ns", "span.read_ns", "net.queue_depth"} {
 		if h, ok := rep.Metrics.Histograms[name]; !ok || h.Count == 0 {
 			t.Errorf("metrics missing %s samples (present=%v)", name, ok)
 		}

@@ -72,16 +72,13 @@ func lagSnapshot(raw []byte) (obs.RegistrySnapshot, bool) {
 	return obs.RegistrySnapshot{}, false
 }
 
-// lagTiers is the pipeline order of the attribution table.
-var lagTiers = []string{obs.SpanCommit, obs.SpanEncode, obs.SpanOnAir, obs.SpanDrain, obs.SpanReceive, obs.SpanRead}
-
 // renderLagSnapshot renders the attribution tables from a registry
 // snapshot: the wall-clock tier table (with per-shard drain histograms
 // merged into one tier), queue depth, and the per-scheme staleness.
 func renderLagSnapshot(out io.Writer, snap obs.RegistrySnapshot) error {
 	t := stats.NewTable("tier", "n", "p50", "p95", "p99", "max")
 	rows := 0
-	for _, tier := range lagTiers {
+	for _, tier := range obs.SpanTiers {
 		h, err := tierHistogram(snap, tier)
 		if err != nil {
 			return err
@@ -280,7 +277,7 @@ func renderLagTrace(out io.Writer, events []obs.Event) error {
 	if len(spans) > 0 {
 		fmt.Fprintln(out, "latency attribution (wall clock, per tier):")
 		t := stats.NewTable("tier", "n", "p50", "p95", "p99", "max")
-		for _, tier := range lagTiers {
+		for _, tier := range obs.SpanTiers {
 			h, ok := spans[tier]
 			if !ok || h.N() == 0 {
 				continue

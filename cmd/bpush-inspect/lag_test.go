@@ -18,7 +18,7 @@ func writeLagSnapshot(t *testing.T, wrap string) string {
 	t.Helper()
 	reg := obs.NewRegistry()
 	nsBounds := []float64{1e3, 1e4, 1e5, 1e6, 1e7}
-	for i, tier := range []string{"span.commit_ns", "span.encode_ns", "span.on_air_ns", "span.receive_ns", "span.read_ns"} {
+	for i, tier := range []string{"span.commit_ns", "span.on_air_ns", "span.receive_ns", "span.read_ns"} {
 		h := reg.Histogram(tier, nsBounds)
 		for j := 0; j < 10; j++ {
 			h.Observe(float64((i + 1) * (j + 1) * 1500))
@@ -71,7 +71,7 @@ func TestLagSubcommandSnapshots(t *testing.T) {
 			}
 			got := out.String()
 			for _, want := range []string{
-				"latency attribution", "commit", "encode", "on-air", "drain", "receive", "read",
+				"latency attribution", "commit", "on-air", "drain", "receive", "read",
 				"queue depth", "staleness by scheme", "multiversion",
 			} {
 				if !strings.Contains(got, want) {

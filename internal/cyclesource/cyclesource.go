@@ -19,13 +19,15 @@
 // on (a fleet worker pool admits clients as slots free up), and memory is
 // then proportional to the number of cycles produced. With Config.LogDir
 // the log additionally spills to an append-only segmented disk log
-// (internal/durlog): every produced becast is appended before it is
-// published, Config.MemCycles bounds the in-memory window to the hottest
-// suffix (cold cycles are served transparently from disk — decoded frames
-// are unindexed, exactly like network-received becasts, which the
-// shared-index differential suite proves is invisible), and a source
-// reopened over the same directory resumes production at the next cycle,
-// byte-identical to one that never stopped.
+// (internal/durlog): every produced becast is encoded once and its frame
+// appended before it is published (GetFrame hands that frame on, so the
+// air reuses the logged bytes), Config.MemCycles bounds the in-memory
+// window to the hottest suffix (cold cycles are served transparently
+// from disk — decoded frames are unindexed, exactly like
+// network-received becasts, which the shared-index differential suite
+// proves is invisible), and a source reopened over the same directory
+// resumes production at the next cycle, byte-identical to one that never
+// stopped.
 package cyclesource
 
 import (
@@ -38,6 +40,7 @@ import (
 	"bpush/internal/model"
 	"bpush/internal/obs"
 	"bpush/internal/server"
+	"bpush/internal/wire"
 	"bpush/internal/workload"
 )
 
@@ -179,6 +182,7 @@ type Source struct {
 	prog          broadcast.Program   // full-cycle program (classic organization)
 	chunks        []broadcast.Program // per-interval chunks (§7 h-interval organization)
 	log           []*broadcast.Bcast  // the in-memory window; log[i] is becast base+i
+	frame         []byte              // the newest becast's logged frame; nil unless cfg.LogDir
 	base          int                 // cycles before log[0]: evicted to disk or recovered at resume
 	arch          *archive            // nil unless cfg.Check
 	dlog          *durlog.Log         // nil unless cfg.LogDir
@@ -328,14 +332,36 @@ func workerCount(w int) int {
 // the shared-index differential suite proves is observationally
 // invisible.
 func (s *Source) Get(i int) (*broadcast.Bcast, error) {
+	b, _, err := s.lookup(i)
+	return b, err
+}
+
+// GetFrame is Get plus the cycle's wire frame. For the newest cycle of a
+// durable source the frame is the one production encoded and appended
+// to the log, so a station that puts it on air encodes each cycle once;
+// any other cycle is encoded afresh. The frame is read-only: nobody
+// writes its bytes again, and the source keeps a reference to it until
+// the next cycle is produced.
+func (s *Source) GetFrame(i int) (*broadcast.Bcast, []byte, error) {
+	b, frame, err := s.lookup(i)
+	if err == nil && frame == nil {
+		frame, err = wire.Encode(b)
+	}
+	return b, frame, err
+}
+
+// lookup serves Get and GetFrame: it returns becast i, producing up to i
+// first, and the sealed frame when i is the newest cycle of a durable
+// source (nil otherwise).
+func (s *Source) lookup(i int) (*broadcast.Bcast, []byte, error) {
 	if i < 0 {
-		return nil, fmt.Errorf("cyclesource: negative cycle index %d", i)
+		return nil, nil, fmt.Errorf("cyclesource: negative cycle index %d", i)
 	}
 	s.mu.RLock()
 	if i >= s.base && i-s.base < len(s.log) {
-		b := s.log[i-s.base]
+		b, frame := s.windowed(i)
 		s.mu.RUnlock()
-		return b, nil
+		return b, frame, nil
 	}
 	if i < s.base {
 		// base only grows, so the cycle is on disk for good.
@@ -348,7 +374,7 @@ func (s *Source) Get(i int) (*broadcast.Bcast, error) {
 	for i >= s.base+len(s.log) {
 		if err := s.produce(); err != nil {
 			s.mu.Unlock()
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if i < s.base {
@@ -357,17 +383,28 @@ func (s *Source) Get(i int) (*broadcast.Bcast, error) {
 		s.mu.Unlock()
 		return readSpilled(dlog, i)
 	}
-	b := s.log[i-s.base]
+	b, frame := s.windowed(i)
 	s.mu.Unlock()
-	return b, nil
+	return b, frame, nil
+}
+
+// windowed returns in-window becast i and, when it is the newest cycle,
+// its sealed frame. Caller holds the lock.
+func (s *Source) windowed(i int) (*broadcast.Bcast, []byte) {
+	j := i - s.base
+	if j == len(s.log)-1 {
+		return s.log[j], s.frame
+	}
+	return s.log[j], nil
 }
 
 // readSpilled serves a cycle that left the in-memory window.
-func readSpilled(dlog *durlog.Log, i int) (*broadcast.Bcast, error) {
+func readSpilled(dlog *durlog.Log, i int) (*broadcast.Bcast, []byte, error) {
 	if dlog == nil {
-		return nil, fmt.Errorf("cyclesource: cycle %d spilled but the source is closed", i)
+		return nil, nil, fmt.Errorf("cyclesource: cycle %d spilled but the source is closed", i)
 	}
-	return dlog.ReadCycle(i)
+	b, err := dlog.ReadCycle(i)
+	return b, nil, err
 }
 
 // produce runs one more cycle: commit the next batch of update
@@ -413,12 +450,16 @@ func (s *Source) produce() error {
 			return err
 		}
 	}
+	var frame []byte
 	if s.dlog != nil {
 		// Durability point: the cycle reaches the disk log before any
 		// consumer can observe it, so a restart never loses a published
 		// cycle (the torn-tail rule only ever discards unpublished
-		// bytes).
-		if err := s.dlog.AppendCycle(b); err != nil {
+		// bytes). The frame is encoded once, here, and kept for GetFrame.
+		if frame, err = wire.Encode(b); err != nil {
+			return err
+		}
+		if err := s.dlog.AppendFrame(frame); err != nil {
 			return err
 		}
 		if seq := s.base + len(s.log) + 1; s.snapshotEvery > 0 && seq%s.snapshotEvery == 0 {
@@ -433,6 +474,7 @@ func (s *Source) produce() error {
 		rec.Record(obs.Event{Type: obs.TypeCycleEnd, T: obs.At(b.Cycle, int64(b.Len())), Slots: int64(b.Len()), N: int64(committed)})
 	}
 	s.log = append(s.log, b)
+	s.frame = frame
 	if s.cfg.MemCycles > 0 && len(s.log) > s.cfg.MemCycles {
 		// Slide the window: drop the oldest becasts from memory (they
 		// stay readable from the disk log) and reuse the backing array

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"bpush/internal/broadcast"
 	"bpush/internal/core"
 	"bpush/internal/model"
 	"bpush/internal/obs"
@@ -33,11 +34,7 @@ func frames(t *testing.T, src *Source, n int) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := wire.Encode(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = p
+		out[i] = mustEncode(t, b)
 	}
 	return out
 }
@@ -169,6 +166,75 @@ func TestSpillTransparency(t *testing.T) {
 	if got := src.Produced(); got != total {
 		t.Fatalf("Produced() = %d, want %d", got, total)
 	}
+}
+
+// TestGetFrameMatchesEncode pins both sources of GetFrame's bytes
+// against a fresh wire.Encode of the same becast over 300 cycles: the
+// logged frame a durable source keeps for its newest cycle (returned
+// again, not re-encoded, by a second call), and the fallback encode for
+// a cycle still in the window, one spilled to disk, and every cycle of a
+// memory-only source.
+func TestGetFrameMatchesEncode(t *testing.T) {
+	const total = 300
+	durable := durableConfig(t.TempDir())
+	durable.MemCycles = 8
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"durable", durable},
+		{"memory", testConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = src.Close() }()
+			check := func(i int) []byte {
+				t.Helper()
+				_, frame, err := src.GetFrame(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := src.Get(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := mustEncode(t, b); !bytes.Equal(frame, want) {
+					t.Fatalf("cycle %d: GetFrame differs from wire.Encode(Get)", i)
+				}
+				return frame
+			}
+			for i := 0; i < total; i++ {
+				frame := check(i) // i is the newest cycle
+				if tc.cfg.LogDir == "" {
+					continue
+				}
+				_, again, err := src.GetFrame(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &again[0] != &frame[0] {
+					t.Fatalf("cycle %d: newest durable cycle re-encoded instead of returning the logged frame", i)
+				}
+			}
+			// Production has moved on: now every cycle but the last is
+			// either an older in-window cycle or a spilled one.
+			for i := 0; i < total; i++ {
+				check(i)
+			}
+		})
+	}
+}
+
+func mustEncode(t *testing.T, b *broadcast.Bcast) []byte {
+	t.Helper()
+	p, err := wire.Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestSnapshotCatchUpFeed pins the late-joiner path of ISSUE 10: a Feed

@@ -339,17 +339,26 @@ func (l *Log) RecoveredBytes() int64 {
 	return l.recovered
 }
 
-// AppendCycle appends becast b as the next cycle record. The record is
-// not fsynced per append — a crash loses at most the unsynced suffix,
-// which recovery truncates; call Sync for a hard durability point.
+// AppendCycle encodes becast b and appends the frame as the next cycle
+// record; see AppendFrame.
 func (l *Log) AppendCycle(b *broadcast.Bcast) error {
-	payload, err := wire.Encode(b)
+	frame, err := wire.Encode(b)
 	if err != nil {
 		return err
 	}
+	return l.AppendFrame(frame)
+}
+
+// AppendFrame appends an encoded wire frame (wire.Encode's output) as
+// the next cycle record. The log copies the bytes into the record and
+// neither retains nor writes frame, so the producer can put the same
+// frame on air. The record is not fsynced per append — a crash loses at
+// most the unsynced suffix, which recovery truncates; call Sync for a
+// hard durability point.
+func (l *Log) AppendFrame(frame []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ref, err := l.appendRecord(kindCycle, uint64(len(l.cycles)), payload)
+	ref, err := l.appendRecord(kindCycle, uint64(len(l.cycles)), frame)
 	if err != nil {
 		return err
 	}

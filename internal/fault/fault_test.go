@@ -359,6 +359,41 @@ func TestManglerFaults(t *testing.T) {
 	}
 }
 
+// TestManglerNeverWritesInput pins the contract the netcast station
+// relies on when it hands the mangler the frame its cycle source still
+// holds: Mangle returns damaged copies and aliases of its input, but
+// never writes the input itself — not during the call, and not later
+// through a frame it held back for a reorder.
+func TestManglerNeverWritesInput(t *testing.T) {
+	const n = 1000
+	var base [][]byte
+	for _, b := range makeCycles(t, 8) {
+		base = append(base, mustEncode(t, b))
+	}
+	plan := Plan{Drop: 0.1, Corrupt: 0.2, Truncate: 0.1, Duplicate: 0.1, Reorder: 0.1, Burst: 0.05}
+	m, err := NewMangler(plan, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([][]byte, n)
+	for i := range inputs {
+		inputs[i] = append([]byte(nil), base[i%len(base)]...)
+		m.Mangle(inputs[i])
+		if !bytes.Equal(inputs[i], base[i%len(base)]) {
+			t.Fatalf("frame %d: Mangle wrote its input", i)
+		}
+	}
+	for i, in := range inputs {
+		if !bytes.Equal(in, base[i%len(base)]) {
+			t.Fatalf("frame %d: input changed after later Mangle calls", i)
+		}
+	}
+	st := m.Stats()
+	if st.Dropped == 0 || st.Corrupted == 0 || st.Truncated == 0 || st.Duplicated == 0 || st.Reordered == 0 || st.Burst == 0 {
+		t.Fatalf("plan left a fault kind unexercised: %+v", st)
+	}
+}
+
 func mustEncode(t *testing.T, b *broadcast.Bcast) []byte {
 	t.Helper()
 	frame, err := wire.Encode(b)

@@ -55,10 +55,14 @@ func (m *Mangler) recordFault(kind string) {
 // sequences to transmit, in order — zero when the frame is lost (or held
 // back by a reorder), two for a duplicate. A reorder swaps the frame with
 // its successor: the successor jumps ahead unfaulted (the swap consumed
-// its budget) and the held frame follows it, late. Returned slices are
-// copies whenever they were damaged or held across calls (a held frame
-// must not alias the caller's reusable buffer); an undamaged frame that
-// goes straight out is passed through unaliased and uncopied.
+// its budget) and the held frame follows it, late.
+//
+// Mangle never writes frame: a corrupted frame is a fresh copy, and a
+// frame held back by a reorder is copied before it outlives the call.
+// Every other returned slice aliases frame — an undamaged frame goes
+// straight out uncopied, a truncated one as a prefix of it, a duplicate
+// as the same slice twice — so the caller may pass a frame it shares
+// with other readers, but must copy the results before writing them.
 func (m *Mangler) Mangle(frame []byte) [][]byte {
 	if frame == nil {
 		return nil

@@ -68,7 +68,7 @@ func BenchmarkBroadcastOnAir(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := bc.BroadcastFrame(f); err != nil {
+				if err := bc.Broadcast(f); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
@@ -93,7 +93,7 @@ func BenchmarkBroadcastSustained(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := bc.BroadcastFrame(f); err != nil {
+				if err := bc.Broadcast(f); err != nil {
 					b.Fatal(err)
 				}
 				waitDrained(b, bc)
@@ -117,7 +117,7 @@ func BenchmarkBroadcastSerial(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := bc.BroadcastFrame(f); err != nil {
+				if err := bc.Broadcast(f); err != nil {
 					b.Fatal(err)
 				}
 			}

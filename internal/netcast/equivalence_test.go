@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"bpush/internal/fault"
 	"bpush/internal/wire"
 	"bpush/internal/workload"
 )
@@ -113,6 +114,162 @@ func TestShardedStreamEquivalence(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// tickModeConfig is the station every tick mode below runs: one seed,
+// manual pacing, and queues deep enough that no subscriber is evicted
+// while the test ticks faster than the shards drain.
+func tickModeConfig(cycles int) StationConfig {
+	return StationConfig{
+		Addr:     "127.0.0.1:0",
+		DBSize:   50,
+		Versions: 4,
+		Workload: workload.ServerConfig{
+			DBSize: 50, UpdateRange: 25, Theta: 0.95,
+			TxPerCycle: 2, UpdatesPerCycle: 4, ReadsPerUpdate: 2,
+		},
+		Seed: 42,
+		Cast: Config{QueueLen: 2 * cycles},
+	}
+}
+
+// captureRaw ticks a station cycles times and returns the verbatim bytes
+// one in-process subscriber heard. The length to wait for is the
+// broadcaster's own byte counter once every queue has drained, so a
+// mangled stream — which no decoder can cut into frames — is captured
+// whole.
+func captureRaw(t *testing.T, cfg StationConfig, cycles int) []byte {
+	t.Helper()
+	st, err := NewStation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	conn, err := st.Cast().SubscribeLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu  sync.Mutex
+		buf bytes.Buffer
+	)
+	go func() {
+		p := make([]byte, 4096)
+		for {
+			n, err := conn.Read(p)
+			mu.Lock()
+			buf.Write(p[:n])
+			mu.Unlock()
+			if err != nil {
+				return
+			}
+		}
+	}()
+	for i := 0; i < cycles; i++ {
+		if err := st.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitQueuesDrained(t, st.Cast())
+	tr := st.Cast().Traffic()
+	if tr.Evictions != 0 || tr.Drops != 0 {
+		t.Fatalf("subscriber lost: %+v", tr)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n := int64(buf.Len())
+		mu.Unlock()
+		if n >= tr.BytesSent {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("read %d of %d sent bytes", n, tr.BytesSent)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return append([]byte(nil), buf.Bytes()...)
+}
+
+// TestTickModeEquivalence pins the single tick path: sampling and the
+// durable log change what is measured and where the frame is encoded,
+// never what goes on air. Every mode's stream must equal the plain
+// station's byte for byte, and with a fault plan the mangled stream must
+// not depend on sampling either.
+func TestTickModeEquivalence(t *testing.T) {
+	const cycles = 48
+	modes := []struct {
+		name string
+		mod  func(*StationConfig)
+	}{
+		{"plain", func(*StationConfig) {}},
+		{"sampled", func(c *StationConfig) { c.Sample = true }},
+		{"durable", func(c *StationConfig) { c.LogDir, c.MemCycles = t.TempDir(), 8 }},
+		{"durable+sampled", func(c *StationConfig) { c.LogDir, c.MemCycles, c.Sample = t.TempDir(), 8, true }},
+	}
+	var want []byte
+	for _, m := range modes {
+		cfg := tickModeConfig(cycles)
+		m.mod(&cfg)
+		got := captureRaw(t, cfg, cycles)
+		if want == nil {
+			if len(got) == 0 {
+				t.Fatal("plain station put nothing on air")
+			}
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: stream diverges from plain (%d vs %d bytes)", m.name, len(got), len(want))
+		}
+	}
+	plan := fault.Plan{Drop: 0.1, Corrupt: 0.2, Truncate: 0.1, Duplicate: 0.1, Reorder: 0.1}
+	var mangled []byte
+	for _, sample := range []bool{false, true} {
+		cfg := tickModeConfig(cycles)
+		cfg.Fault, cfg.Sample = plan, sample
+		got := captureRaw(t, cfg, cycles)
+		if mangled == nil {
+			if bytes.Equal(got, want) {
+				t.Fatal("fault plan left the stream unchanged")
+			}
+			mangled = got
+			continue
+		}
+		if !bytes.Equal(got, mangled) {
+			t.Fatalf("sampled fault stream diverges (%d vs %d bytes)", len(got), len(mangled))
+		}
+	}
+}
+
+// TestOnAirFrameIsLoggedFrame pins encode-once on a durable station: the
+// frame each tick puts on air shares its backing array with the frame the
+// source appended to the log, so no second encode happened.
+func TestOnAirFrameIsLoggedFrame(t *testing.T) {
+	cfg := tickModeConfig(20)
+	cfg.LogDir, cfg.MemCycles = t.TempDir(), 8
+	st, err := NewStation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	for i := 0; i < 20; i++ {
+		if err := st.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		_, logged, err := st.Source().GetFrame(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.bc.mu.Lock()
+		last := st.bc.last
+		st.bc.mu.Unlock()
+		if len(last) == 0 || &last[0] != &logged[0] {
+			t.Fatalf("cycle %d: the on-air frame is not the logged frame", i)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func TestTunerResyncsAfterCorruption(t *testing.T) {
 	bad[len(bad)-1] ^= 0x01 // flip the CRC trailer: structure intact, checksum fails
 
 	for _, f := range [][]byte{[]byte("noise in the band"), frames[0], bad, frames[2]} {
-		if err := bc.BroadcastRaw(f); err != nil {
+		if err := bc.Broadcast(NewFrame(f)); err != nil {
 			t.Fatal(err)
 		}
 	}

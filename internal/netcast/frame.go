@@ -15,8 +15,8 @@ package netcast
 // assignment and in-place append — module-wide.
 //
 // Construct a Frame with NewFrame (copies a caller-owned buffer) or
-// sealFrame (adopts a buffer the caller promises never to touch again,
-// used for freshly encoded cycles).
+// sealFrame (adopts a buffer nobody will write again, used for the
+// frames the cycle source encoded).
 type Frame []byte
 
 // NewFrame seals a copy of p into a Frame. Use it when p is caller-owned
@@ -26,9 +26,10 @@ func NewFrame(p []byte) Frame {
 	return Frame(append([]byte(nil), p...))
 }
 
-// sealFrame adopts p as an immutable Frame without copying. The caller
-// must hand over ownership: p was just allocated (e.g. by wire.Encode)
-// and no other reference to it survives the call.
+// sealFrame adopts p as an immutable Frame without copying. The contract
+// is that nobody ever writes p's bytes again, not that nobody else
+// references them: the station seals the frame cyclesource.GetFrame
+// returned, and the source keeps its own read-only reference to it.
 func sealFrame(p []byte) Frame {
 	return Frame(p)
 }

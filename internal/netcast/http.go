@@ -124,9 +124,8 @@ func writeStatus(out io.Writer, s *Station) {
 // writeTierSection renders the latency-attribution tiers present in the
 // snapshot, in pipeline order.
 func writeTierSection(w *statusWriter, snap obs.RegistrySnapshot) {
-	tiers := []string{obs.SpanCommit, obs.SpanEncode, obs.SpanOnAir, obs.SpanDrain, obs.SpanReceive, obs.SpanRead}
 	var lines []string
-	for _, tier := range tiers {
+	for _, tier := range obs.SpanTiers {
 		h, ok := snap.Histograms[spanMetric(tier)]
 		if !ok || h.Count == 0 {
 			continue

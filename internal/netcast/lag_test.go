@@ -77,7 +77,7 @@ func TestLagSamplingHistograms(t *testing.T) {
 	}
 	waitQueuesDrained(t, st.Cast())
 	snap := st.Registry().Snapshot()
-	for _, tier := range []string{obs.SpanCommit, obs.SpanEncode, obs.SpanOnAir} {
+	for _, tier := range []string{obs.SpanCommit, obs.SpanOnAir} {
 		h, ok := snap.Histograms[spanMetric(tier)]
 		if !ok {
 			t.Fatalf("missing %s histogram: %v", tier, snap.Histograms)
@@ -103,8 +103,8 @@ func TestLagSamplingHistograms(t *testing.T) {
 			spans++
 		}
 	}
-	if spans != 3*cycles {
-		t.Errorf("ring span events = %d, want %d", spans, 3*cycles)
+	if spans != 2*cycles {
+		t.Errorf("ring span events = %d, want %d", spans, 2*cycles)
 	}
 }
 

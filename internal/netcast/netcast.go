@@ -434,41 +434,14 @@ func (b *Broadcaster) SampleLag(now obs.Sampler, depth *obs.Histogram, drain []*
 	return nil
 }
 
-// Broadcast pushes one becast to every subscriber: the becast is encoded
-// exactly once into an immutable frame shared zero-copy by every
-// subscriber queue. Slow or dead subscribers are dropped — broadcast
+// Broadcast pushes one sealed frame to every subscriber: every
+// subscriber queue shares the frame zero-copy, so the fan-out costs no
+// per-subscriber copy. Slow or dead subscribers are dropped — broadcast
 // delivery never blocks on a client, which is the scalability property
 // of push systems.
 //
-//lint:hotpath the 10k-tuner fan-out encodes and ships one frame per cycle
-func (b *Broadcaster) Broadcast(bc *broadcast.Bcast) error {
-	frame, err := wire.Encode(bc)
-	if err != nil {
-		return err
-	}
-	// wire.Encode returns a fresh buffer nobody else references; seal it
-	// without another copy.
-	return b.broadcastFrame(sealFrame(frame))
-}
-
-// BroadcastRaw pushes an already-encoded (possibly deliberately damaged)
-// frame to every subscriber. The fault-injecting station uses it to put
-// mangled frames on air; the tuners' checksum verification and resync
-// logic are exercised by real bytes on a real socket. The caller keeps
-// ownership of frame; it is copied once (not per subscriber).
-//
-//lint:hotpath the fault-injection air path runs once per cycle
-func (b *Broadcaster) BroadcastRaw(frame []byte) error {
-	return b.broadcastFrame(NewFrame(frame))
-}
-
-// BroadcastFrame pushes a sealed immutable frame to every subscriber
-// with no copying at all.
-func (b *Broadcaster) BroadcastFrame(f Frame) error {
-	return b.broadcastFrame(f)
-}
-
-func (b *Broadcaster) broadcastFrame(f Frame) error {
+//lint:hotpath the 10k-tuner fan-out ships one frame per cycle
+func (b *Broadcaster) Broadcast(f Frame) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()

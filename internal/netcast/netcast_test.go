@@ -12,6 +12,7 @@ import (
 	"bpush/internal/core"
 	"bpush/internal/model"
 	"bpush/internal/server"
+	"bpush/internal/wire"
 	"bpush/internal/workload"
 )
 
@@ -291,7 +292,11 @@ func TestBroadcastAfterCloseFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.bc.Broadcast(b); err == nil {
+	frame, err := wire.Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.bc.Broadcast(NewFrame(frame)); err == nil {
 		t.Error("Broadcast after Close succeeded")
 	}
 }

@@ -117,7 +117,7 @@ func TestHeadOfLineRegression(t *testing.T) {
 
 	const cycles = 6
 	for i := uint64(1); i <= cycles; i++ {
-		if err := b.BroadcastRaw(seqFrame(i)); err != nil {
+		if err := b.Broadcast(NewFrame(seqFrame(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestHeadOfLineSerialBaseline(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := uint64(1); i <= cycles; i++ {
-			if err := b.BroadcastRaw(seqFrame(i)); err != nil {
+			if err := b.Broadcast(NewFrame(seqFrame(i))); err != nil {
 				return
 			}
 		}
@@ -230,7 +230,7 @@ func TestSameShardStallBoundedByDeadline(t *testing.T) {
 
 	const cycles = 6
 	for i := uint64(1); i <= cycles; i++ {
-		if err := b.BroadcastRaw(seqFrame(i)); err != nil {
+		if err := b.Broadcast(NewFrame(seqFrame(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,7 +282,7 @@ func TestQueueOverflowEvicts(t *testing.T) {
 	// Frame 1 wedges in the writer; the queue absorbs queueLen more;
 	// the next broadcast overflows and evicts.
 	for i := uint64(1); i <= queueLen+2; i++ {
-		if err := b.BroadcastRaw(seqFrame(i)); err != nil {
+		if err := b.Broadcast(NewFrame(seqFrame(i))); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
@@ -367,7 +367,7 @@ func TestShardedBroadcastRace(t *testing.T) {
 	go func() { // broadcaster
 		defer wg.Done()
 		for i := uint64(1); i <= 200; i++ {
-			if err := b.BroadcastRaw(seqFrame(i)); err != nil {
+			if err := b.Broadcast(NewFrame(seqFrame(i))); err != nil {
 				return
 			}
 		}
@@ -411,7 +411,7 @@ func TestGreetExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = b.Close() }()
-	if err := b.BroadcastRaw(seqFrame(7)); err != nil {
+	if err := b.Broadcast(NewFrame(seqFrame(7))); err != nil {
 		t.Fatal(err)
 	}
 	conn, err := b.SubscribeLocal()
@@ -419,7 +419,7 @@ func TestGreetExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	if err := b.BroadcastRaw(seqFrame(8)); err != nil {
+	if err := b.Broadcast(NewFrame(seqFrame(8))); err != nil {
 		t.Fatal(err)
 	}
 	got := readSeqs(conn, 2, 2*time.Second)

@@ -55,7 +55,7 @@ func FuzzShardedBroadcast(f *testing.F) {
 				subs = append(subs, s)
 			case 1: // broadcast
 				seq++
-				if err := b.BroadcastRaw(seqFrame(seq)); err != nil {
+				if err := b.Broadcast(NewFrame(seqFrame(seq))); err != nil {
 					t.Fatal(err)
 				}
 				for _, s := range subs {

@@ -10,7 +10,6 @@ import (
 	"bpush/internal/fault"
 	"bpush/internal/model"
 	"bpush/internal/obs"
-	"bpush/internal/wire"
 	"bpush/internal/workload"
 )
 
@@ -58,7 +57,7 @@ type StationConfig struct {
 	// (default 1024 events).
 	TraceRing int
 	// Sample enables wall-clock latency attribution: the tick loop
-	// measures the commit/encode/on-air tiers into span.* histograms and
+	// measures the commit and on-air tiers into span.* histograms and
 	// the broadcaster samples per-subscriber queue depth and per-shard
 	// drain latency (SampleLag). The clock is read only through
 	// obs.WallSampler; with Sample false no code on the broadcast path
@@ -98,10 +97,11 @@ type StationConfig struct {
 const DefaultSampleStride = 64
 
 // Station periodically takes the next cycle from a shared cyclesource
-// producer and broadcasts the becast to all subscribers. Production and
+// producer and broadcasts its frame to all subscribers. Production and
 // wire encoding happen exactly once per cycle no matter how many
-// subscribers are connected — the Broadcaster fans the one frame out —
-// so station cost per cycle is independent of the audience size.
+// subscribers are connected — the source encodes the cycle once and the
+// Broadcaster fans that one frame out — so station cost per cycle is
+// independent of the audience size.
 type Station struct {
 	cfg   StationConfig
 	src   *cyclesource.Source
@@ -365,89 +365,55 @@ func (s *Station) run() {
 }
 
 // Tick produces the next cycle (the first tick broadcasts the initial
-// database load) and pushes its becast to every subscriber. With a fault
-// plan configured the frame passes through the mangler first; dropped
-// cycles put nothing on air, so subscribers see an undeclared gap. With
-// StationConfig.Sample the tick is measured tier by tier — produce,
-// encode, fan out — into span.* histograms; the unsampled path below is
-// byte-for-byte the pre-instrumentation one.
+// database load) and pushes its frame to every subscriber. The frame is
+// the one the source encoded at production — on a durable station, the
+// very bytes it appended to the log — so the station itself never
+// encodes. With a fault plan configured the frame passes through the
+// mangler first; dropped cycles put nothing on air, so subscribers see
+// an undeclared gap. With StationConfig.Sample the tick is measured into
+// span.* histograms: commit covers production (commit pipeline, becast
+// assembly, the encode and the durable append), on-air the mangling and
+// the sharded fan-out enqueue. Receive and read are measured downstream
+// by tuners and clients; the drain tier is the broadcaster's SampleLag.
 func (s *Station) Tick() error {
+	var t0 int64
 	if s.clock != nil {
-		return s.tickSampled(s.clock)
+		t0 = s.clock()
 	}
 	s.mu.Lock()
 	//lint:allow lockorder mu is the tick serializer, not a fan-out lock: waiting for cycle production is the point of Tick, and no subscriber's progress depends on mu
-	b, err := s.src.Get(s.next)
+	b, frame, err := s.src.GetFrame(s.next)
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
 	s.next++
-	if s.mangler == nil {
-		s.mu.Unlock()
-		return s.bc.Broadcast(b)
-	}
-	frame, err := wire.Encode(b)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	frames := s.mangler.Mangle(frame)
-	s.mu.Unlock()
-	for _, f := range frames {
-		if err := s.bc.BroadcastRaw(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tickSampled is Tick with per-tier wall-clock attribution: commit spans
-// the producer pipeline (plan/place/execute plus becast assembly),
-// encode the wire serialization (and channel-side mangling when a fault
-// plan is live), on-air the sharded fan-out enqueue. Receive and read
-// are measured downstream — by tuners and clients — against the same
-// sampler family; the drain tier is the broadcaster's own SampleLag.
-func (s *Station) tickSampled(clock obs.Sampler) error {
-	t0 := clock()
-	s.mu.Lock()
-	//lint:allow lockorder mu is the tick serializer, not a fan-out lock: waiting for cycle production is the point of Tick, and no subscriber's progress depends on mu
-	b, err := s.src.Get(s.next)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	s.next++
-	t1 := clock()
-	frame, err := wire.Encode(b)
-	if err != nil {
-		s.mu.Unlock()
-		return err
+	var t1 int64
+	if s.clock != nil {
+		t1 = s.clock()
 	}
 	var frames [][]byte
 	if s.mangler != nil {
 		frames = s.mangler.Mangle(frame)
 	}
-	t2 := clock()
 	s.mu.Unlock()
-	var castErr error
 	if s.mangler == nil {
-		// wire.Encode returned a fresh buffer; seal it without a copy,
-		// exactly as Broadcast would.
-		castErr = s.bc.BroadcastFrame(sealFrame(frame))
+		// Nobody writes the source's frame again, so the fan-out can
+		// share it without a copy.
+		err = s.bc.Broadcast(sealFrame(frame))
 	} else {
 		for _, f := range frames {
-			if err := s.bc.BroadcastRaw(f); err != nil {
-				castErr = err
+			if err = s.bc.Broadcast(NewFrame(f)); err != nil {
 				break
 			}
 		}
 	}
-	t3 := clock()
-	s.recordSpan(b.Cycle, obs.SpanCommit, t1-t0)
-	s.recordSpan(b.Cycle, obs.SpanEncode, t2-t1)
-	s.recordSpan(b.Cycle, obs.SpanOnAir, t3-t2)
-	return castErr
+	if s.clock != nil {
+		t2 := s.clock()
+		s.recordSpan(b.Cycle, obs.SpanCommit, t1-t0)
+		s.recordSpan(b.Cycle, obs.SpanOnAir, t2-t1)
+	}
+	return err
 }
 
 // recordSpan emits one tier measurement into the station's sink (ring +

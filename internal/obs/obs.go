@@ -126,17 +126,23 @@ const (
 
 // Latency-attribution tiers, the Reason values of TypeSpan, in pipeline
 // order: durable-log restore (once per station start, when a cycle log
-// is configured), producer commit, frame encode, broadcast fan-out
-// (on-air), per-shard queue drain, tuner receive, client read.
+// is configured), producer commit (which includes the cycle's one wire
+// encode and its durable append), broadcast fan-out (on-air, including
+// any channel-side fault mangling), per-shard queue drain, tuner
+// receive, client read.
 const (
 	SpanRestore = "restore"
 	SpanCommit  = "commit"
-	SpanEncode  = "encode"
 	SpanOnAir   = "on-air"
 	SpanDrain   = "drain"
 	SpanReceive = "receive"
 	SpanRead    = "read"
 )
+
+// SpanTiers lists the per-cycle tiers in pipeline order — every span
+// tier but the once-per-start restore. The operator surfaces (/statusz,
+// bpush-inspect lag) render their tier tables in this order.
+var SpanTiers = []string{SpanCommit, SpanOnAir, SpanDrain, SpanReceive, SpanRead}
 
 // Producer pipeline phases, the Reason values of TypeProducerPhase.
 const (

@@ -109,7 +109,6 @@ func Encode(b *broadcast.Bcast) ([]byte, error) {
 		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrBadFrame, size)
 	}
 	be := binary.BigEndian
-	//lint:allow hotalloc the retained frame: one exactly sized buffer per encode, owned by the caller from here on
 	p := make([]byte, 0, size)
 	p = be.AppendUint32(p, Magic)
 	p = append(p, Version)
