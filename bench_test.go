@@ -339,56 +339,9 @@ func BenchmarkScalabilityFleet(b *testing.B) {
 	}
 }
 
-// BenchmarkServer2PL compares the serial executor against the strict-2PL
-// concurrent executor on one cycle's worth of update transactions.
-func BenchmarkServer2PL(b *testing.B) {
-	mkTxs := func() []model.ServerTx {
-		rng := rand.New(rand.NewSource(9))
-		txs := make([]model.ServerTx, 50)
-		for i := range txs {
-			var ops []model.Op
-			for r := 0; r < 4; r++ {
-				ops = append(ops, model.Op{Kind: model.OpRead, Item: model.ItemID(rng.Intn(1000) + 1)})
-			}
-			item := model.ItemID(rng.Intn(500) + 1)
-			ops = append(ops, model.Op{Kind: model.OpRead, Item: item}, model.Op{Kind: model.OpWrite, Item: item})
-			txs[i] = model.ServerTx{Ops: ops}
-		}
-		return txs
-	}
-	for _, workers := range []int{1, 4} {
-		name := "serial"
-		if workers > 1 {
-			name = "2pl-" + itoa(workers)
-		}
-		b.Run(name, func(b *testing.B) {
-			srv, err := server.New(server.Config{DBSize: 1000, MaxVersions: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			txs := mkTxs()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if workers == 1 {
-					if _, err := srv.CommitAndAdvance(txs); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					if _, err := srv.CommitConcurrentAndAdvance(txs, workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkProducerPipeline measures the plan/place/execute commit
-// pipeline on a write-heavy cycle batch, against the pre-pipeline serial
-// loop (the 2PL executor with one worker, kept as the differential
-// oracle) and across worker counts. This is the scaling table
-// BENCH_producer.json records.
+// pipeline on a write-heavy cycle batch across worker counts. This is the
+// scaling table BENCH_producer.json records.
 func BenchmarkProducerPipeline(b *testing.B) {
 	const (
 		dbSize = 2000
@@ -419,33 +372,20 @@ func BenchmarkProducerPipeline(b *testing.B) {
 		}
 		return batches
 	}
-	run := func(b *testing.B, commit func(srv *server.Server, txs []model.ServerTx) error) {
-		srv, err := server.New(server.Config{DBSize: dbSize, MaxVersions: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		batches := mkBatches()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := commit(srv, batches[i%len(batches)]); err != nil {
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run("pipeline-"+itoa(workers), func(b *testing.B) {
+			srv, err := server.New(server.Config{DBSize: dbSize, MaxVersions: 2, Workers: workers})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-	b.Run("serial-oracle", func(b *testing.B) {
-		run(b, func(srv *server.Server, txs []model.ServerTx) error {
-			_, err := srv.CommitConcurrentAndAdvance(txs, 1)
-			return err
-		})
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run("pipeline-"+itoa(workers), func(b *testing.B) {
-			run(b, func(srv *server.Server, txs []model.ServerTx) error {
-				_, err := srv.CommitPipelineAndAdvance(txs, workers)
-				return err
-			})
+			batches := mkBatches()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.CommitAndAdvance(batches[i%len(batches)]); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -31,10 +31,6 @@ import (
 //     drained),
 //   - eviction: how fast a stalled audience is swept off the
 //     broadcaster once every bounded queue is full.
-//
-// The serial baseline (-load-serial) runs the same measurement against
-// the retained pre-shard writer for comparison; BENCH_netcast.json
-// records both.
 
 // loadOptions is the -load* flag set.
 type loadOptions struct {
@@ -42,9 +38,6 @@ type loadOptions struct {
 	Tuners int
 	// Cycles to broadcast during the measured phase.
 	Cycles int
-	// Serial measures the retained serial writer instead of the sharded
-	// fan-out.
-	Serial bool
 	// Transport is "mem" (in-process conns, no descriptors — the only
 	// way to 10k subscribers under default ulimits) or "tcp" (real
 	// loopback sockets).
@@ -77,7 +70,7 @@ func (o loadOptions) validate() error {
 
 // loadReport is the JSON document a load run emits.
 type loadReport struct {
-	Mode      string `json:"mode"` // sharded | serial
+	Mode      string `json:"mode"` // always "sharded"
 	Transport string `json:"transport"`
 	Tuners    int    `json:"tuners"`
 	Cycles    int    `json:"cycles"`
@@ -154,7 +147,6 @@ func runLoad(cfg cliConfig) error {
 	}
 	st := cfg.Station
 	st.Interval = 0 // the harness paces cycles itself
-	st.Cast.Serial = cfg.Load.Serial
 	// Load mode measures the latency tiers by default — the report's
 	// whole point is attribution — unless -sample=false asks for the
 	// uninstrumented baseline (the A/B behind BENCH_latency.json).
@@ -179,17 +171,13 @@ func runLoad(cfg cliConfig) error {
 		Cycles:    cfg.Load.Cycles,
 		DBSize:    st.DBSize,
 	}
-	if cfg.Load.Serial {
-		rep.Mode = "serial"
-	} else {
-		rep.Shards = st.Cast.Shards
-		if rep.Shards == 0 {
-			rep.Shards = netcast.DefaultShards
-		}
-		rep.QueueLen = st.Cast.QueueLen
-		if rep.QueueLen == 0 {
-			rep.QueueLen = netcast.DefaultQueueLen
-		}
+	rep.Shards = st.Cast.Shards
+	if rep.Shards == 0 {
+		rep.Shards = netcast.DefaultShards
+	}
+	rep.QueueLen = st.Cast.QueueLen
+	if rep.QueueLen == 0 {
+		rep.QueueLen = netcast.DefaultQueueLen
 	}
 
 	// Accept phase: attach every tuner and start its decode loop.
@@ -322,29 +310,24 @@ func runLoad(cfg cliConfig) error {
 	// hold Subscribers above zero forever.
 	rep.ClientQueries = clients.stop()
 
-	// Eviction phase (sharded only; the serial writer has no queues to
-	// overflow — it blocks on the wedged socket instead, which is the
-	// pathology the sharded tier exists to remove): the audience stops
-	// draining, queues fill, and the next broadcasts sweep every
-	// subscriber off. A tuner blocked mid-read may consume one more
-	// frame before it parks for good; eviction closing its conn
-	// unblocks it either way.
+	// Eviction phase: the audience stops draining, queues fill, and the
+	// next broadcasts sweep every subscriber off. A tuner blocked
+	// mid-read may consume one more frame before it parks for good;
+	// eviction closing its conn unblocks it either way.
 	close(stopRead)
-	if !cfg.Load.Serial {
-		evictStart := time.Now()
-		for station.Subscribers() > 0 {
-			if err := station.Tick(); err != nil {
-				return err
-			}
-			if time.Since(evictStart) > 60*time.Second {
-				return fmt.Errorf("eviction sweep stalled: %d subscribers left", station.Subscribers())
-			}
+	evictStart := time.Now()
+	for station.Subscribers() > 0 {
+		if err := station.Tick(); err != nil {
+			return err
 		}
-		sweep := time.Since(evictStart)
-		rep.Evictions = bc.Traffic().Evictions
-		rep.EvictionSweepNs = sweep.Nanoseconds()
-		rep.EvictionsPerSec = float64(rep.Evictions) / sweep.Seconds()
+		if time.Since(evictStart) > 60*time.Second {
+			return fmt.Errorf("eviction sweep stalled: %d subscribers left", station.Subscribers())
+		}
 	}
+	sweep := time.Since(evictStart)
+	rep.Evictions = bc.Traffic().Evictions
+	rep.EvictionSweepNs = sweep.Nanoseconds()
+	rep.EvictionsPerSec = float64(rep.Evictions) / sweep.Seconds()
 	rep.UnplannedDrops = bc.Traffic().Drops
 	for _, lt := range tuners {
 		_ = lt.conn.Close()
@@ -496,8 +479,7 @@ func heapAlloc() uint64 {
 }
 
 // waitQueueDrain blocks until the fan-out queues are empty — every
-// enqueued frame written out. The serial writer has no queues, so it
-// returns immediately there (delivery completed inside Tick).
+// enqueued frame written out.
 func waitQueueDrain(bc *netcast.Broadcaster, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for bc.QueueDepth() > 0 {

@@ -13,7 +13,6 @@
 // emits a JSON report:
 //
 //	bpush-cast -load 10000 -load-cycles 20 -load-out BENCH.json
-//	bpush-cast -load 10000 -load-serial   # pre-shard serial baseline
 package main
 
 import (
@@ -110,7 +109,6 @@ func buildConfig(args []string) (cliConfig, error) {
 
 		load          = fs.Int("load", 0, "load-harness mode: attach this many tuners, measure, and exit")
 		loadCycles    = fs.Int("load-cycles", 20, "measured broadcast cycles in load mode")
-		loadSerial    = fs.Bool("load-serial", false, "load mode: measure the retained serial writer baseline")
 		loadTransport = fs.String("load-transport", "mem", "load mode subscriber transport: mem (in-process, no descriptors) or tcp")
 		loadOut       = fs.String("load-out", "", "load mode: write the JSON report here (empty = stdout)")
 		loadClients   = fs.Int("load-clients", 3, "load mode: measured scheme clients running real queries (receive/read tiers + staleness)")
@@ -163,7 +161,6 @@ func buildConfig(args []string) (cliConfig, error) {
 		Load: loadOptions{
 			Tuners:    *load,
 			Cycles:    *loadCycles,
-			Serial:    *loadSerial,
 			Transport: *loadTransport,
 			Out:       *loadOut,
 			Clients:   *loadClients,

@@ -143,24 +143,6 @@ func TestLoadHarnessSharded(t *testing.T) {
 	}
 }
 
-// TestLoadHarnessSerialBaseline: the serial writer runs the same
-// broadcast measurement (no eviction phase — it has no queues).
-func TestLoadHarnessSerialBaseline(t *testing.T) {
-	rep := runLoadHarness(t, "-load-serial")
-	if rep.Mode != "serial" {
-		t.Fatalf("mode = %q, want serial", rep.Mode)
-	}
-	if rep.DeliveredFrames != 3*40 {
-		t.Errorf("delivered %d frames, want %d", rep.DeliveredFrames, 3*40)
-	}
-	if rep.Evictions != 0 || rep.EvictionSweepNs != 0 {
-		t.Errorf("serial baseline reported an eviction phase: %+v", rep)
-	}
-	if rep.Shards != 0 || rep.QueueLen != 0 {
-		t.Errorf("serial baseline reported shard config: %+v", rep)
-	}
-}
-
 // TestLoadHarnessTCP runs a small audience over real loopback sockets.
 func TestLoadHarnessTCP(t *testing.T) {
 	rep := runLoadHarness(t, "-load-transport", "tcp", "-load", "10")

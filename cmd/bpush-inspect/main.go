@@ -23,11 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	"bpush/internal/broadcast"
-	"bpush/internal/server"
+	"bpush/internal/cyclesource"
 	"bpush/internal/stats"
 	"bpush/internal/workload"
 )
@@ -67,6 +66,9 @@ func run(args []string, out io.Writer) error {
 	if *sizing {
 		return printSizing(out, *u, *span)
 	}
+	if *cycles < 0 {
+		return fmt.Errorf("-cycles must be non-negative, got %d", *cycles)
+	}
 	return printLayout(out, *dbSize, *versions, *updates, *cycles, *seed)
 }
 
@@ -103,29 +105,26 @@ func printSizing(out io.Writer, u, span int) error {
 	return nil
 }
 
+// printLayout prints becast number cycles of the synthetic workload's
+// stream, 0-based: cycles 0 is the initial load.
 func printLayout(out io.Writer, dbSize, versions, updates, cycles int, seed int64) error {
-	srv, err := server.New(server.Config{DBSize: dbSize, MaxVersions: versions})
+	src, err := cyclesource.New(cyclesource.Config{
+		DBSize:   dbSize,
+		Versions: versions,
+		Workload: workload.ServerConfig{
+			DBSize:          dbSize,
+			UpdateRange:     dbSize,
+			Theta:           0.95,
+			TxPerCycle:      2,
+			UpdatesPerCycle: updates,
+			ReadsPerUpdate:  2,
+		},
+		Seed: seed,
+	})
 	if err != nil {
 		return err
 	}
-	gen, err := workload.NewServerGen(workload.ServerConfig{
-		DBSize:          dbSize,
-		UpdateRange:     dbSize,
-		Theta:           0.95,
-		TxPerCycle:      2,
-		UpdatesPerCycle: updates,
-		ReadsPerUpdate:  2,
-	}, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return err
-	}
-	var log *server.CycleLog
-	for i := 0; i < cycles; i++ {
-		if log, err = srv.CommitAndAdvance(gen.Cycle()); err != nil {
-			return err
-		}
-	}
-	b, err := broadcast.Assemble(srv, log, broadcast.FlatProgram(dbSize))
+	b, err := src.Get(cycles)
 	if err != nil {
 		return err
 	}

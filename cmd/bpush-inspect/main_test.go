@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,22 @@ func TestLayoutOutput(t *testing.T) {
 	}
 }
 
+// TestLayoutGolden pins the default-flag layout byte for byte: the
+// becast of cycle 6 at D=20, S=3, seed 1.
+func TestLayoutGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/layout_default.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run(nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("default layout differs from testdata/layout_default.golden:\n%s", got)
+	}
+}
+
 func TestLayoutDeterministicPerSeed(t *testing.T) {
 	render := func() string {
 		var out strings.Builder
@@ -51,5 +68,8 @@ func TestRejectsBadConfig(t *testing.T) {
 	}
 	if err := run([]string{"-versions", "0"}, &out); err == nil {
 		t.Error("zero versions accepted")
+	}
+	if err := run([]string{"-cycles", "-1"}, &out); err == nil {
+		t.Error("negative cycle count accepted")
 	}
 }

@@ -136,9 +136,8 @@ func DefaultConfig() Config {
 			// source and opens a log directly.
 			"bpush/internal/durlog.Open",
 			"bpush/internal/durlog.Log.*",
-			// The 2PL oracle is test-only at runtime but must stay
-			// byte-equivalent to the pipeline, so it is rooted
-			// explicitly.
+			// The commit pipeline must emit byte-identical cycle logs at
+			// every worker count, so it is rooted explicitly.
 			"bpush/internal/server.Server.*",
 			// Client consumption: every scheme's per-cycle entries (the
 			// interface spec expands to all implementations) plus the
@@ -175,9 +174,8 @@ func DefaultConfig() Config {
 		// truncate, or read error on the durable log is a silent
 		// durability hole, exactly the class errcheck exists to catch.
 		ErrcheckScope: []string{"bpush/internal/wire", "bpush/internal/netcast", "bpush/internal/durlog"},
-		// The commit path (pipeline and 2PL oracle alike) must stay
-		// sleep-free: backoff is yield-based so cycle production never
-		// paces itself on the wall clock.
+		// The commit pipeline must stay sleep-free, so cycle production
+		// never paces itself on the wall clock.
 		SleepScope: []string{"bpush/internal/server"},
 		// The observability layer owns the clock seam: obs.WallSampler is
 		// the only function allowed to touch time.Now, so span
@@ -185,13 +183,12 @@ func DefaultConfig() Config {
 		// deterministic roots would silently reach.
 		ClockScope: []string{"bpush/internal/obs"},
 		ClockEntry: []string{"bpush/internal/obs.WallSampler"},
-		// The fan-out tier and the lock tables it leans on must keep
+		// The fan-out tier and the worker pool it leans on must keep
 		// one global lock order, and nothing may block inside a shard
 		// or station lock.
 		LockOrderScope: []string{
 			"bpush/internal/netcast",
 			"bpush/internal/pool",
-			"bpush/internal/lockmgr",
 		},
 		LockHoldScope: []string{"bpush/internal/netcast"},
 		// netcast.Frame is the zero-copy broadcast frame: one immutable

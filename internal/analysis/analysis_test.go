@@ -301,10 +301,10 @@ func TestDefaultScopeBansServerSleep(t *testing.T) {
 
 // TestDefaultScopeLocksFanOut pins the fan-out tier into the lockorder
 // scopes: netcast's locks keep one global order and ban blocking while
-// held; the lock tables under it join the ordering only.
+// held; the worker pool under it joins the ordering only.
 func TestDefaultScopeLocksFanOut(t *testing.T) {
 	cfg := DefaultConfig()
-	for _, p := range []string{"bpush/internal/netcast", "bpush/internal/pool", "bpush/internal/lockmgr"} {
+	for _, p := range []string{"bpush/internal/netcast", "bpush/internal/pool"} {
 		if !cfg.LockOrdered(p) {
 			t.Errorf("%s not in the lock-order scope", p)
 		}
@@ -312,8 +312,8 @@ func TestDefaultScopeLocksFanOut(t *testing.T) {
 	if !cfg.LockHoldChecked("bpush/internal/netcast") {
 		t.Error("bpush/internal/netcast not in the lock-hold scope")
 	}
-	if cfg.LockHoldChecked("bpush/internal/lockmgr") {
-		t.Error("lockmgr must not be hold-checked: its waiters block by design")
+	if cfg.LockHoldChecked("bpush/internal/pool") {
+		t.Error("bpush/internal/pool must join the lock ordering but not be hold-checked")
 	}
 }
 

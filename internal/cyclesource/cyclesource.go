@@ -62,9 +62,7 @@ type Config struct {
 	// Workers > 1 spreads each cycle's commit work over that many
 	// producer workers via the server's plan/place/execute pipeline; 0 or
 	// 1 runs the pipeline single-threaded. The cycle stream is
-	// byte-identical at every worker count. (Earlier revisions routed
-	// Workers > 1 through the strict-2PL executor; that path survives
-	// only as the differential oracle in internal/server.)
+	// byte-identical at every worker count.
 	Workers int
 
 	// Program is the broadcast organization (nil means the flat program

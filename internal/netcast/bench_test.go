@@ -11,11 +11,9 @@ import (
 // Fan-out cost benchmarks, the in-package counterpart of the bpush-cast
 // -load harness. Two quantities matter:
 //
-//   - On-air time: how long Broadcast holds the broadcast path. For the
-//     sharded tier this is one bounded enqueue per subscriber; for the
-//     serial baseline it is the full fan-out of socket writes. This is
-//     the number that decides whether a slow audience can stretch the
-//     cycle period.
+//   - On-air time: how long Broadcast holds the broadcast path: one
+//     bounded enqueue per subscriber. This is the number that decides
+//     whether a slow audience can stretch the cycle period.
 //   - Sustained time: broadcast plus full delivery to every subscriber,
 //     bounding the cycle rate the audience can actually absorb.
 //
@@ -101,25 +99,6 @@ func BenchmarkBroadcastSustained(b *testing.B) {
 			b.StopTimer()
 			if ev := bc.Traffic().Evictions; ev != 0 {
 				b.Fatalf("%d evictions mid-benchmark; subscriber population was not constant", ev)
-			}
-		})
-	}
-}
-
-// BenchmarkBroadcastSerial is the pre-shard baseline: the broadcast
-// goroutine writes to every subscriber itself, so on-air and sustained
-// time are the same number — and it grows with the audience.
-func BenchmarkBroadcastSerial(b *testing.B) {
-	for _, subs := range benchSubCounts {
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			bc := benchBroadcaster(b, Config{Serial: true}, subs)
-			f := NewFrame(make([]byte, benchFrameLen))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bc.Broadcast(f); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -16,9 +16,9 @@ import (
 
 // The equivalence suite pins the sharded broadcaster's core contract:
 // sharding changes who writes, never what is written. Every subscriber,
-// at every shard count, hears the byte-identical stream the retained
-// serial writer produces — the frame is encoded once and shared, so
-// there is no per-path re-encoding that could diverge.
+// at every shard count, hears exactly the frames the station's cycle
+// source produced, back to back — the frame is encoded once and shared,
+// so there is no per-path re-encoding that could diverge.
 
 // equivStation builds a manual-tick station with the given fan-out
 // config and a fixed seed shared by every configuration under test.
@@ -58,8 +58,9 @@ func captureStream(conn net.Conn, cycles int) ([]byte, error) {
 }
 
 // runEquivConfig attaches subs in-process subscribers, ticks the station
-// cycles times, and returns each subscriber's captured stream.
-func runEquivConfig(t *testing.T, cast Config, subs, cycles int) [][]byte {
+// cycles times, and returns the station and each subscriber's captured
+// stream.
+func runEquivConfig(t *testing.T, cast Config, subs, cycles int) (*Station, [][]byte) {
 	t.Helper()
 	st := equivStation(t, cast)
 	conns := make([]net.Conn, subs)
@@ -91,26 +92,35 @@ func runEquivConfig(t *testing.T, cast Config, subs, cycles int) [][]byte {
 			t.Fatalf("subscriber %d: %v", i, err)
 		}
 	}
-	return streams
+	return st, streams
 }
 
 // TestShardedStreamEquivalence is the differential matrix: shard counts
 // {1, 2, 8} crossed with subscriber counts {1, 16, 256}, every stream
-// compared byte-for-byte against the single-subscriber serial baseline.
+// compared byte-for-byte against the concatenated frames of the ticked
+// cycles, straight from the station's cycle source.
 func TestShardedStreamEquivalence(t *testing.T) {
 	const cycles = 5
-	baseline := runEquivConfig(t, Config{Serial: true}, 1, cycles)[0]
-	if len(baseline) == 0 {
-		t.Fatal("serial baseline captured an empty stream")
-	}
 	for _, shards := range []int{1, 2, 8} {
 		for _, subs := range []int{1, 16, 256} {
 			t.Run(fmt.Sprintf("shards=%d/subs=%d", shards, subs), func(t *testing.T) {
-				streams := runEquivConfig(t, Config{Shards: shards}, subs, cycles)
+				st, streams := runEquivConfig(t, Config{Shards: shards}, subs, cycles)
+				// A fresh station's first tick broadcasts cycle 0.
+				var want []byte
+				for i := 0; i < cycles; i++ {
+					_, frame, err := st.Source().GetFrame(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, frame...)
+				}
+				if len(want) == 0 {
+					t.Fatal("source produced empty frames")
+				}
 				for i, s := range streams {
-					if !bytes.Equal(s, baseline) {
-						t.Fatalf("subscriber %d of %d (shards=%d): stream diverges from serial baseline (%d vs %d bytes)",
-							i, subs, shards, len(s), len(baseline))
+					if !bytes.Equal(s, want) {
+						t.Fatalf("subscriber %d of %d (shards=%d): stream diverges from the source's frames (%d vs %d bytes)",
+							i, subs, shards, len(s), len(want))
 					}
 				}
 			})

@@ -97,12 +97,8 @@ func writeStatus(out io.Writer, s *Station) {
 	snap := s.reg.Snapshot()
 	t := s.bc.Traffic()
 	w.printf("bpush station %s\n", s.Addr())
-	mode := "sharded"
-	if s.cfg.Cast.Serial {
-		mode = "serial"
-	}
-	w.printf("  db=%d versions=%d seed=%d workers=%d fanout=%s sample=%v\n",
-		s.cfg.DBSize, s.cfg.Versions, s.cfg.Seed, s.cfg.Workers, mode, s.cfg.Sample)
+	w.printf("  db=%d versions=%d seed=%d workers=%d sample=%v\n",
+		s.cfg.DBSize, s.cfg.Versions, s.cfg.Seed, s.cfg.Workers, s.cfg.Sample)
 	w.printf("\ntraffic\n")
 	w.printf("  subscribers=%d frames_sent=%d bytes_sent=%d drops=%d evictions=%d bytes_received=%d\n",
 		s.Subscribers(), t.FramesSent, t.BytesSent, t.Drops, t.Evictions, t.BytesReceived)

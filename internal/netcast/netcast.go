@@ -10,9 +10,7 @@
 // send queues, and every queue references the cycle's single immutable
 // Frame zero-copy. A slow reader never stalls the on-air path — its
 // queue overflows and it is evicted instead of blocking, reconnecting
-// through the client's existing gap/resync path. The pre-shard serial
-// writer is retained (Config.Serial) as the benchmark baseline and the
-// head-of-line differential oracle.
+// through the client's existing gap/resync path.
 package netcast
 
 import (
@@ -55,11 +53,6 @@ type Config struct {
 	// WriteTimeout bounds a single frame write; a write that exceeds it
 	// drops the subscriber. Zero means DefaultWriteTimeout.
 	WriteTimeout time.Duration
-	// Serial selects the retained pre-shard writer: frames are written
-	// to every subscriber serially from the broadcast goroutine. It is
-	// the baseline the benchmarks and the head-of-line regression test
-	// compare against; production fan-out should never use it.
-	Serial bool
 	// LocalBufSize is the server-to-client buffer capacity of
 	// SubscribeLocal connections. Zero means a socket-sized 64 KiB; the
 	// load harness shrinks it so ten thousand in-process tuners fit in
@@ -187,8 +180,7 @@ type Broadcaster struct {
 	// (and receives it as the greeting), never both or neither.
 	mu     sync.Mutex
 	shards []*shard
-	conns  map[net.Conn]struct{} // serial mode only
-	last   Frame                 // most recent frame; greets new subscribers
+	last   Frame // most recent frame; greets new subscribers
 	nextID uint64
 	closed bool
 
@@ -228,16 +220,12 @@ func ListenConfig(addr string, cfg Config) (*Broadcaster, error) {
 		stop:       make(chan struct{}),
 		writeFrame: deadlineWrite,
 	}
-	if cfg.Serial {
-		b.conns = make(map[net.Conn]struct{})
-	} else {
-		b.shards = make([]*shard, cfg.Shards)
-		for i := range b.shards {
-			s := &shard{id: i, subs: make(map[uint64]*subscriber), wake: make(chan struct{}, 1)}
-			b.shards[i] = s
-			b.wg.Add(1)
-			go b.runShard(s)
-		}
+	b.shards = make([]*shard, cfg.Shards)
+	for i := range b.shards {
+		s := &shard{id: i, subs: make(map[uint64]*subscriber), wake: make(chan struct{}, 1)}
+		b.shards[i] = s
+		b.wg.Add(1)
+		go b.runShard(s)
 	}
 	b.wg.Add(1)
 	go b.acceptLoop()
@@ -251,9 +239,6 @@ func (b *Broadcaster) Addr() string { return b.ln.Addr().String() }
 func (b *Broadcaster) Subscribers() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.cfg.Serial {
-		return len(b.conns)
-	}
 	n := 0
 	for _, s := range b.shards {
 		n += len(s.subs)
@@ -299,33 +284,24 @@ func (b *Broadcaster) attach(conn net.Conn) bool {
 		return false
 	}
 	var wakeShard *shard
-	if b.cfg.Serial {
-		b.conns[conn] = struct{}{}
-		last := b.last
-		b.mu.Unlock()
-		// Ship the most recent becast immediately so a new subscriber
-		// does not idle until the next cycle; mid-stream joins are part
-		// of the model (clients tune in whenever they like).
-		if last != nil {
-			b.writeTo(conn, last)
-		}
-	} else {
-		id := b.nextID
-		b.nextID++
-		s := b.shards[id%uint64(len(b.shards))]
-		sub := &subscriber{id: id, conn: conn, q: make(chan qframe, b.cfg.QueueLen)}
-		s.subs[id] = sub
-		if b.last != nil {
-			// The queue is freshly made and QueueLen >= 1, so the greet
-			// enqueue cannot block. Greetings are never lag-sampled: they
-			// are not part of any cycle's fan-out.
-			//lint:allow lockorder the queue was just made with cap >= 1 and nothing has sent on it, so this send cannot block
-			sub.q <- qframe{f: b.last}
-			s.queued.Add(1)
-			wakeShard = s
-		}
-		b.mu.Unlock()
+	id := b.nextID
+	b.nextID++
+	s := b.shards[id%uint64(len(b.shards))]
+	sub := &subscriber{id: id, conn: conn, q: make(chan qframe, b.cfg.QueueLen)}
+	s.subs[id] = sub
+	if b.last != nil {
+		// Greet with the most recent becast so a new subscriber does not
+		// idle until the next cycle; mid-stream joins are part of the
+		// model (clients tune in whenever they like). The queue is
+		// freshly made and QueueLen >= 1, so the greet enqueue cannot
+		// block. Greetings are never lag-sampled: they are not part of
+		// any cycle's fan-out.
+		//lint:allow lockorder the queue was just made with cap >= 1 and nothing has sent on it, so this send cannot block
+		sub.q <- qframe{f: b.last}
+		s.queued.Add(1)
+		wakeShard = s
 	}
+	b.mu.Unlock()
 	// Clients have nothing to say in a push system; any inbound bytes
 	// are drained, counted, and ignored.
 	b.wg.Add(1)
@@ -366,8 +342,7 @@ func (b *Broadcaster) Traffic() Stats {
 	}
 }
 
-// Shards returns per-shard live counters, indexed by shard. It returns
-// nil in serial mode.
+// Shards returns per-shard live counters, indexed by shard.
 func (b *Broadcaster) Shards() []ShardStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -403,12 +378,8 @@ func (b *Broadcaster) QueueDepth() int64 {
 // stamped frame leaves the wire. now must come from obs.WallSampler —
 // the single clock entry point bpush-lint pins — and drain needs one
 // histogram per shard. Sampling is off until SampleLag is called (zero
-// cost beyond one atomic nil load per broadcast) and unsupported in
-// serial mode, which has no queues to attribute.
+// cost beyond one atomic nil load per broadcast).
 func (b *Broadcaster) SampleLag(now obs.Sampler, depth *obs.Histogram, drain []*obs.Histogram, stride int) error {
-	if b.cfg.Serial {
-		return fmt.Errorf("netcast: lag sampling requires the sharded broadcaster")
-	}
 	if now == nil || depth == nil {
 		return fmt.Errorf("netcast: lag sampling needs a sampler and a depth histogram")
 	}
@@ -448,19 +419,6 @@ func (b *Broadcaster) Broadcast(f Frame) error {
 		return fmt.Errorf("netcast: broadcaster closed")
 	}
 	b.last = f
-	if b.cfg.Serial {
-		//lint:allow hotalloc serial-baseline snapshot must outlive mu, so owner scratch would race concurrent broadcasts
-		conns := make([]net.Conn, 0, len(b.conns))
-		for c := range b.conns {
-			//lint:allow hotalloc the slice above is pre-sized to the subscriber count, so these appends never grow it
-			conns = append(conns, c)
-		}
-		b.mu.Unlock()
-		for _, c := range conns {
-			b.writeTo(c, f)
-		}
-		return nil
-	}
 	// Fan the one frame out to every subscriber queue without blocking:
 	// a full queue means the reader is too slow for the broadcast rate,
 	// and the eviction contract turns that into a dropped subscriber
@@ -583,26 +541,6 @@ func (b *Broadcaster) dropSub(s *shard, sub *subscriber) {
 	}
 }
 
-// writeTo is the retained serial write path (Config.Serial): one
-// deadline-bounded write from the broadcast goroutine itself.
-func (b *Broadcaster) writeTo(c net.Conn, frame Frame) {
-	n, err := b.writeFrame(c, b.cfg.WriteTimeout, frame)
-	b.bytesSent.Add(int64(n))
-	if err != nil {
-		b.drops.Add(1)
-		b.dropConn(c)
-		return
-	}
-	b.framesSent.Add(1)
-}
-
-func (b *Broadcaster) dropConn(c net.Conn) {
-	b.mu.Lock()
-	delete(b.conns, c)
-	b.mu.Unlock()
-	_ = c.Close()
-}
-
 // Close stops accepting, disconnects every subscriber, stops the shard
 // writers, and waits for every goroutine to exit. Frames still queued
 // for slow subscribers are discarded — shutdown does not wait for
@@ -615,19 +553,12 @@ func (b *Broadcaster) Close() error {
 	}
 	b.closed = true
 	var conns []net.Conn
-	if b.cfg.Serial {
-		for c := range b.conns {
-			conns = append(conns, c)
+	for _, s := range b.shards {
+		for _, sub := range s.subs {
+			sub.gone.Store(true)
+			conns = append(conns, sub.conn)
 		}
-		b.conns = map[net.Conn]struct{}{}
-	} else {
-		for _, s := range b.shards {
-			for _, sub := range s.subs {
-				sub.gone.Store(true)
-				conns = append(conns, sub.conn)
-			}
-			s.subs = map[uint64]*subscriber{}
-		}
+		s.subs = map[uint64]*subscriber{}
 	}
 	b.mu.Unlock()
 

@@ -244,7 +244,7 @@ func TestStationWithPipelineWorkers(t *testing.T) {
 		}
 	}
 	if committed == 0 {
-		t.Error("nothing committed against a 2PL-executed stream")
+		t.Error("nothing committed against a multi-worker pipeline stream")
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 )
 
 // The head-of-line suite pins the property the paper's push model
-// promises and the pre-shard serial writer did not deliver: one slow
-// reader must never stall delivery to everyone else. Stalls are injected
+// promises: one slow reader must never stall delivery to everyone else. Stalls are injected
 // deterministically through the broadcaster's writeFrame seam, so no
 // kernel socket-buffer tuning is involved.
 
@@ -82,9 +81,7 @@ func readSeqs(c net.Conn, n int, deadline time.Duration) []uint64 {
 
 // TestHeadOfLineRegression is the bug-class pin: with the sharded
 // broadcaster, a subscriber whose writes wedge completely does not delay
-// a single cycle for subscribers on other shards. The companion test
-// below proves the same scenario starves everyone under the retained
-// serial writer.
+// a single cycle for subscribers on other shards.
 func TestHeadOfLineRegression(t *testing.T) {
 	b, err := ListenConfig("127.0.0.1:0", Config{Shards: 4, QueueLen: 8})
 	if err != nil {
@@ -136,61 +133,6 @@ func TestHeadOfLineRegression(t *testing.T) {
 	}
 	if got := readSeqs(stalled, 1, 100*time.Millisecond); len(got) != 0 {
 		t.Fatalf("stalled subscriber unexpectedly received %d frames", len(got))
-	}
-}
-
-// TestHeadOfLineSerialBaseline documents why the rebuild was needed: the
-// same wedged subscriber under the retained serial writer starves every
-// healthy subscriber — the broadcast goroutine itself is stuck. This is
-// the failure the regression test above would show against the old
-// transport.
-func TestHeadOfLineSerialBaseline(t *testing.T) {
-	b, err := ListenConfig("127.0.0.1:0", Config{Serial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = b.Close() }()
-	release := make(chan struct{})
-	defer close(release)
-	m := newStallMatcher()
-	installStall(b, m, release, false)
-
-	stalled, err := net.Dial("tcp", b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = stalled.Close() }()
-	m.stall(stalled.LocalAddr())
-	waitFor(t, func() bool { return b.Subscribers() == 1 })
-
-	healthy, err := net.Dial("tcp", b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = healthy.Close() }()
-	waitFor(t, func() bool { return b.Subscribers() == 2 })
-
-	const cycles = 5
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := uint64(1); i <= cycles; i++ {
-			if err := b.Broadcast(NewFrame(seqFrame(i))); err != nil {
-				return
-			}
-		}
-	}()
-	// The healthy subscriber cannot hear all cycles: the serial writer
-	// is wedged on its peer. At most one frame (written before the
-	// wedged conn in map order) can slip through.
-	got := readSeqs(healthy, cycles, 500*time.Millisecond)
-	if len(got) >= cycles {
-		t.Fatalf("serial writer delivered %d/%d cycles past a wedged subscriber; head-of-line blocking should have starved it", len(got), cycles)
-	}
-	select {
-	case <-done:
-		t.Fatal("serial broadcast completed while a subscriber was wedged")
-	default:
 	}
 }
 

@@ -45,8 +45,7 @@ type StationConfig struct {
 	// FaultSeed seeds the fault RNG; 0 derives it from Seed.
 	FaultSeed int64
 	// Cast tunes the fan-out tier: shard count, per-subscriber queue
-	// bound, write timeout, and the retained serial baseline. The zero
-	// value selects the sharded defaults.
+	// bound, and write timeout. The zero value selects the defaults.
 	Cast Config
 	// HTTPAddr, when non-empty, serves the station's live metrics over
 	// HTTP (e.g. "127.0.0.1:0"): GET /metricsz renders the metric
@@ -249,19 +248,17 @@ func NewStation(cfg StationConfig) (*Station, error) {
 		return nil, err
 	}
 	if cfg.Sample {
-		if !bc.cfg.Serial {
-			drain := make([]*obs.Histogram, bc.cfg.Shards)
-			for i := range drain {
-				drain[i] = reg.Histogram(fmt.Sprintf("net.shard.%d.drain_ns", i), spanNsBounds)
-			}
-			stride := cfg.SampleStride
-			if stride <= 0 {
-				stride = DefaultSampleStride
-			}
-			if err := bc.SampleLag(clock, reg.Histogram("net.queue_depth", queueDepthBounds), drain, stride); err != nil {
-				_ = bc.Close()
-				return nil, err
-			}
+		drain := make([]*obs.Histogram, bc.cfg.Shards)
+		for i := range drain {
+			drain[i] = reg.Histogram(fmt.Sprintf("net.shard.%d.drain_ns", i), spanNsBounds)
+		}
+		stride := cfg.SampleStride
+		if stride <= 0 {
+			stride = DefaultSampleStride
+		}
+		if err := bc.SampleLag(clock, reg.Histogram("net.queue_depth", queueDepthBounds), drain, stride); err != nil {
+			_ = bc.Close()
+			return nil, err
 		}
 	}
 	s := &Station{

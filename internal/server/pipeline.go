@@ -11,7 +11,8 @@ import (
 )
 
 // This file implements the producer's commit pipeline: the batched,
-// multi-core replacement for the monolithic serial commit loop, after the
+// multi-core replacement for the monolithic serial commit loop (kept in
+// the package's tests as the differential oracle), after the
 // deterministic-MVCC design of BOHM ("Rethinking serializable multiversion
 // concurrency control"). A cycle's update transactions are treated as one
 // batch and pushed through three phases:
@@ -79,16 +80,27 @@ type itemPlan struct {
 	postReaders []model.TxID
 }
 
-// CommitPipelineAndAdvance is CommitAndAdvance with an explicit worker
-// count: it commits the batch through the plan/place/execute pipeline and
-// advances to the next cycle. The returned CycleLog is identical — byte
-// for byte, trace events included — at every worker count, including the
-// log the pre-pipeline serial loop produced (CommitConcurrentAndAdvance
-// with one worker remains as that oracle).
-func (s *Server) CommitPipelineAndAdvance(txs []model.ServerTx, workers int) (*CycleLog, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("server: workers must be >= 1, got %d", workers)
-	}
+// CommitAndAdvance executes the given update transactions as if they
+// committed serially during the current cycle (their order is the commit
+// order) and advances to the next cycle. It returns the CycleLog from
+// which the next becast is assembled.
+//
+// Execution builds conflict edges exactly as a strict history would:
+//
+//   - a read of x adds a wr edge lastWriter(x) -> T,
+//   - a write of x adds rw edges reader -> T for every transaction that
+//     read x since its last write, and a ww edge lastWriter(x) -> T,
+//
+// always skipping the initial-load pseudo-transaction, which is not a node
+// of the broadcast graph.
+//
+// The batch runs through the plan/place/execute pipeline on
+// Config.Workers workers (0 means 1). The returned CycleLog is identical
+// — byte for byte, trace events included — at every worker count, and
+// equal to the log of the serial commit loop the server's tests keep as
+// their differential oracle.
+func (s *Server) CommitAndAdvance(txs []model.ServerTx) (*CycleLog, error) {
+	workers := max(s.cfg.Workers, 1)
 	next := s.cycle + 1
 
 	// ---- plan (serial) ----

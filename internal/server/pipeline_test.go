@@ -2,19 +2,36 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"bpush/internal/model"
+	"bpush/internal/sg"
 )
 
-// oracleCommit commits one batch on the differential oracle: the strict
-// 2PL executor with a single worker, which is the original serial commit
-// loop (no lock conflicts, effects fold in input order through
-// applyRead/applyWrite).
+func randomTxs(seed int64, n, dbSize int) []model.ServerTx {
+	rng := rand.New(rand.NewSource(seed))
+	txs := make([]model.ServerTx, n)
+	for i := range txs {
+		var ops []model.Op
+		for r := 0; r < 2+rng.Intn(3); r++ {
+			ops = append(ops, model.Op{Kind: model.OpRead, Item: model.ItemID(rng.Intn(dbSize) + 1)})
+		}
+		for w := 0; w < 1+rng.Intn(2); w++ {
+			item := model.ItemID(rng.Intn(dbSize) + 1)
+			ops = append(ops, model.Op{Kind: model.OpRead, Item: item}, model.Op{Kind: model.OpWrite, Item: item})
+		}
+		txs[i] = model.ServerTx{Ops: ops}
+	}
+	return txs
+}
+
+// oracleCommit commits one batch on the differential oracle, the serial
+// commit loop.
 func oracleCommit(t *testing.T, s *Server, txs []model.ServerTx) *CycleLog {
 	t.Helper()
-	log, err := s.CommitConcurrentAndAdvance(txs, 1)
+	log, err := s.serialCommit(txs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +79,11 @@ func TestPipelineMatchesOracle(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			label := fmt.Sprintf("seed=%d workers=%d", seed, workers)
 			oracle := mustNew(t, Config{DBSize: dbSize, MaxVersions: 3})
-			pipe := mustNew(t, Config{DBSize: dbSize, MaxVersions: 3})
+			pipe := mustNew(t, Config{DBSize: dbSize, MaxVersions: 3, Workers: workers})
 			for c := 0; c < cycles; c++ {
 				batch := randomTxs(seed*100+int64(c), txs, dbSize)
 				want := oracleCommit(t, oracle, batch)
-				got, err := pipe.CommitPipelineAndAdvance(batch, workers)
+				got, err := pipe.CommitAndAdvance(batch)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,19 +100,19 @@ func TestPipelineMatchesOracle(t *testing.T) {
 // own output is identical at every worker count, batch after batch.
 func TestPipelineWorkerCountInvariant(t *testing.T) {
 	const dbSize = 25
-	base := mustNew(t, Config{DBSize: dbSize, MaxVersions: 2})
+	base := mustNew(t, Config{DBSize: dbSize, MaxVersions: 2, Workers: 1})
 	others := map[int]*Server{}
 	for _, w := range []int{2, 4, 8} {
-		others[w] = mustNew(t, Config{DBSize: dbSize, MaxVersions: 2})
+		others[w] = mustNew(t, Config{DBSize: dbSize, MaxVersions: 2, Workers: w})
 	}
 	for c := 0; c < 5; c++ {
 		batch := randomTxs(int64(c+1), 10, dbSize)
-		want, err := base.CommitPipelineAndAdvance(batch, 1)
+		want, err := base.CommitAndAdvance(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for w, s := range others {
-			got, err := s.CommitPipelineAndAdvance(batch, w)
+			got, err := s.CommitAndAdvance(batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +128,7 @@ func TestPipelineWorkerCountInvariant(t *testing.T) {
 // repeated read/write of one item by one transaction.
 func TestPipelineEmptyAndDegenerateBatches(t *testing.T) {
 	oracle := mustNew(t, Config{DBSize: 5, MaxVersions: 2})
-	pipe := mustNew(t, Config{DBSize: 5, MaxVersions: 2})
+	pipe := mustNew(t, Config{DBSize: 5, MaxVersions: 2, Workers: 4})
 	rd := func(i model.ItemID) model.Op { return model.Op{Kind: model.OpRead, Item: i} }
 	cat := func(groups ...[]model.Op) []model.Op {
 		var out []model.Op
@@ -141,7 +158,7 @@ func TestPipelineEmptyAndDegenerateBatches(t *testing.T) {
 	}
 	for i, batch := range batches {
 		want := oracleCommit(t, oracle, batch)
-		got, err := pipe.CommitPipelineAndAdvance(batch, 4)
+		got, err := pipe.CommitAndAdvance(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,22 +171,22 @@ func TestPipelineEmptyAndDegenerateBatches(t *testing.T) {
 
 // TestPipelineValidation pins the error behavior: malformed batches are
 // rejected up front, before any state mutation, with the serial loop's
-// TxID-addressed errors.
+// TxID-addressed errors; a negative worker count never builds a server.
 func TestPipelineValidation(t *testing.T) {
-	s := mustNew(t, Config{DBSize: 10, MaxVersions: 1})
-	if _, err := s.CommitPipelineAndAdvance(nil, 0); err == nil {
-		t.Error("zero workers accepted")
+	if _, err := New(Config{DBSize: 10, MaxVersions: 1, Workers: -1}); err == nil {
+		t.Error("negative worker count accepted")
 	}
+	s := mustNew(t, Config{DBSize: 10, MaxVersions: 1, Workers: 2})
 	blind := []model.ServerTx{{Ops: []model.Op{{Kind: model.OpWrite, Item: 1}}}}
-	if _, err := s.CommitPipelineAndAdvance(blind, 2); err == nil {
+	if _, err := s.CommitAndAdvance(blind); err == nil {
 		t.Error("blind write accepted")
 	}
 	bad := []model.ServerTx{{Ops: []model.Op{{Kind: model.OpRead, Item: 99}}}}
-	if _, err := s.CommitPipelineAndAdvance(bad, 2); err == nil {
+	if _, err := s.CommitAndAdvance(bad); err == nil {
 		t.Error("out-of-range item accepted")
 	}
 	kinds := []model.ServerTx{{Ops: []model.Op{{Kind: 99, Item: 1}}}}
-	if _, err := s.CommitPipelineAndAdvance(kinds, 2); err == nil {
+	if _, err := s.CommitAndAdvance(kinds); err == nil {
 		t.Error("invalid op kind accepted")
 	}
 	// A failed batch must not have advanced the cycle or touched state.
@@ -231,13 +248,13 @@ func FuzzPipelineVsOracle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantErr := oracle.CommitConcurrentAndAdvance(txs, 1)
+		want, wantErr := oracle.serialCommit(txs)
 		for _, workers := range []int{1, 3, 8} {
-			pipe, err := New(Config{DBSize: dbSize, MaxVersions: 2})
+			pipe, err := New(Config{DBSize: dbSize, MaxVersions: 2, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotErr := pipe.CommitPipelineAndAdvance(txs, workers)
+			got, gotErr := pipe.CommitAndAdvance(txs)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("workers=%d: error verdicts differ: oracle=%v pipeline=%v", workers, wantErr, gotErr)
 			}
@@ -252,4 +269,116 @@ func FuzzPipelineVsOracle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestConcurrentInvariants runs contended batches through the pipeline
+// with many workers and checks everything the broadcast layer depends on.
+func TestConcurrentInvariants(t *testing.T) {
+	for _, workers := range []int{2, 4, 8} {
+		s := mustNew(t, Config{DBSize: 12, MaxVersions: 2, Workers: workers})
+		g := sg.New()
+		for cyc := 0; cyc < 6; cyc++ {
+			txs := randomTxs(int64(100+cyc), 16, 12)
+			log, err := s.CommitAndAdvance(txs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if log.NumCommitted != len(txs) {
+				t.Fatalf("committed %d of %d", log.NumCommitted, len(txs))
+			}
+			// Every committed transaction appears exactly once, with
+			// sequence numbers 0..n-1.
+			seen := make(map[uint32]bool)
+			for _, n := range log.Delta.Nodes {
+				if n.Cycle != log.Cycle {
+					t.Fatalf("node %v from wrong cycle", n)
+				}
+				if seen[n.Seq] {
+					t.Fatalf("duplicate seq %d", n.Seq)
+				}
+				seen[n.Seq] = true
+			}
+			if len(seen) != len(txs) {
+				t.Fatalf("%d nodes for %d txs", len(seen), len(txs))
+			}
+			// Edges respect commit order (Claim 1) and integrate into an
+			// acyclic graph.
+			for _, e := range log.Delta.Edges {
+				if !e.From.Before(e.To) {
+					t.Fatalf("edge %v -> %v violates commit order", e.From, e.To)
+				}
+			}
+			if err := g.Apply(log.Delta); err != nil {
+				t.Fatal(err)
+			}
+			// First/last writers must be consistent with AllWriters.
+			for item, ws := range log.AllWriters {
+				if log.FirstWriter[item] != ws[0] {
+					t.Fatalf("first writer mismatch for %v", item)
+				}
+				if log.LastWriter[item] != ws[len(ws)-1] {
+					t.Fatalf("last writer mismatch for %v", item)
+				}
+				for i := 1; i < len(ws); i++ {
+					if !ws[i-1].Before(ws[i]) {
+						t.Fatalf("AllWriters out of commit order for %v", item)
+					}
+				}
+			}
+		}
+		if !g.IsAcyclic() {
+			t.Fatal("concurrent execution produced a cyclic serialization graph")
+		}
+	}
+}
+
+// TestConcurrentVersionsStayOrdered: the multiversion store must keep
+// ascending version cycles per item under parallel pipeline commits.
+func TestConcurrentVersionsStayOrdered(t *testing.T) {
+	s := mustNew(t, Config{DBSize: 8, MaxVersions: 4, Workers: 4})
+	for cyc := 0; cyc < 8; cyc++ {
+		if _, err := s.CommitAndAdvance(randomTxs(int64(cyc), 10, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 8; i++ {
+		vs, err := s.Versions(model.ItemID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 1; j < len(vs); j++ {
+			if vs[j].Cycle <= vs[j-1].Cycle {
+				t.Fatalf("item %d versions out of order: %v", i, vs)
+			}
+		}
+	}
+}
+
+// TestConcurrentDeadlockProneWorkload commits opposite-order writesets
+// over two items, the shape that deadlocks a locking executor; the
+// pipeline must commit every transaction and record every writer.
+func TestConcurrentDeadlockProneWorkload(t *testing.T) {
+	s := mustNew(t, Config{DBSize: 4, MaxVersions: 1, Workers: 6})
+	var txs []model.ServerTx
+	for i := 0; i < 12; i++ {
+		a, b := model.ItemID(1), model.ItemID(2)
+		if i%2 == 1 {
+			a, b = b, a
+		}
+		txs = append(txs, model.ServerTx{Ops: []model.Op{
+			{Kind: model.OpRead, Item: a}, {Kind: model.OpWrite, Item: a},
+			{Kind: model.OpRead, Item: b}, {Kind: model.OpWrite, Item: b},
+		}})
+	}
+	log, err := s.CommitAndAdvance(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log.NumCommitted != 12 {
+		t.Errorf("committed %d of 12", log.NumCommitted)
+	}
+	if len(log.AllWriters[1]) != 12 || len(log.AllWriters[2]) != 12 {
+		t.Errorf("writer counts %d/%d, want 12/12",
+			len(log.AllWriters[1]), len(log.AllWriters[2]))
+	}
 }

@@ -15,18 +15,10 @@ package server
 import (
 	"fmt"
 
-	"bpush/internal/det"
 	"bpush/internal/model"
 	"bpush/internal/obs"
 	"bpush/internal/sg"
 )
-
-// sortedEdges extracts a transaction's deduplicated conflict edges from
-// their accumulation set in the canonical (To, From) order, so the edge
-// list never carries map-iteration order into the cycle log.
-func sortedEdges(edges map[sg.Edge]struct{}) []sg.Edge {
-	return det.SortedKeysFunc(edges, sg.EdgeLess)
-}
 
 // Config configures a Server.
 type Config struct {
@@ -39,7 +31,7 @@ type Config struct {
 	MaxVersions int
 	// Workers is the number of commit-pipeline workers CommitAndAdvance
 	// spreads the place and execute phases over; 0 or 1 runs the pipeline
-	// single-threaded. The cycle log is byte-identical at every worker
+	// single-threaded, and a negative count is rejected. The cycle log is byte-identical at every worker
 	// count (the pipeline differential suite pins this).
 	Workers int
 	// Recorder, when non-nil, receives one sg-edge trace event per edge of
@@ -47,8 +39,7 @@ type Config struct {
 	// producer-phase event per pipeline phase. Events are emitted from the
 	// final sorted delta, after all of the cycle's transactions committed,
 	// and phase-event fields are worker-count invariant, so the stream is
-	// identical at every pipeline worker count. The 2PL oracle path emits
-	// the same sg-edge stream but no phase events. Nil means not observed.
+	// identical at every pipeline worker count. Nil means not observed.
 	Recorder obs.Recorder
 }
 
@@ -201,33 +192,6 @@ func (s *Server) checkItem(id model.ItemID) error {
 	return nil
 }
 
-// CommitAndAdvance executes the given update transactions as if they
-// committed serially during the current cycle (their order is the commit
-// order) and advances to the next cycle. It returns the CycleLog from
-// which the next becast is assembled.
-//
-// Execution builds conflict edges exactly as a strict history would:
-//
-//   - a read of x adds a wr edge lastWriter(x) -> T,
-//   - a write of x adds rw edges reader -> T for every transaction that
-//     read x since its last write, and a ww edge lastWriter(x) -> T,
-//
-// always skipping the initial-load pseudo-transaction, which is not a node
-// of the broadcast graph.
-//
-// Since the plan/place/execute refactor this is a thin wrapper over
-// CommitPipelineAndAdvance with Config.Workers workers; the pipeline
-// produces the cycle log the original serial loop did, byte for byte,
-// at every worker count. The serial reference implementation survives as
-// CommitConcurrentAndAdvance with one worker (the differential oracle).
-func (s *Server) CommitAndAdvance(txs []model.ServerTx) (*CycleLog, error) {
-	w := s.cfg.Workers
-	if w < 1 {
-		w = 1
-	}
-	return s.CommitPipelineAndAdvance(txs, w)
-}
-
 // recordDelta emits one sg-edge event per edge of the cycle's final sorted
 // delta. Sorting has already canonicalized the order, so the event stream
 // does not depend on the execution path that produced the log.
@@ -243,53 +207,6 @@ func (s *Server) recordDelta(log *CycleLog) {
 			From: e.From.String(),
 			To:   e.To.String(),
 		})
-	}
-}
-
-func (s *Server) applyRead(id model.TxID, item model.ItemID, edges map[sg.Edge]struct{}) {
-	st := &s.items[item-1]
-	last := st.versions[len(st.versions)-1].Writer
-	if !last.IsZero() && last != id {
-		edges[sg.Edge{From: last, To: id}] = struct{}{}
-	}
-	for _, r := range s.readers[item] {
-		if r == id {
-			return // already recorded
-		}
-	}
-	s.readers[item] = append(s.readers[item], id)
-}
-
-func (s *Server) applyWrite(id model.TxID, item model.ItemID, next model.Cycle, edges map[sg.Edge]struct{}, log *CycleLog) {
-	st := &s.items[item-1]
-	cur := &st.versions[len(st.versions)-1]
-	if !cur.Writer.IsZero() && cur.Writer != id {
-		edges[sg.Edge{From: cur.Writer, To: id}] = struct{}{}
-	}
-	for _, r := range s.readers[item] {
-		if r != id && !r.IsZero() {
-			edges[sg.Edge{From: r, To: id}] = struct{}{}
-		}
-	}
-	delete(s.readers, item)
-
-	st.writeCount++
-	val := initialValue(item) + model.Value(st.writeCount)
-	if cur.Cycle == next {
-		// Same-cycle overwrite: the becast carries only the final value
-		// of the cycle, so replace in place.
-		cur.Value = val
-		cur.Writer = id
-	} else {
-		st.versions = append(st.versions, model.Version{Value: val, Cycle: next, Writer: id})
-	}
-	if _, ok := log.FirstWriter[item]; !ok {
-		log.FirstWriter[item] = id
-	}
-	log.LastWriter[item] = id
-	if ws := log.AllWriters[item]; len(ws) == 0 || ws[len(ws)-1] != id {
-		// A transaction writing the same item twice is still one writer.
-		log.AllWriters[item] = append(ws, id)
 	}
 }
 

@@ -34,8 +34,8 @@ type Edge struct {
 
 // EdgeLess is the canonical broadcast order of conflict edges: by target
 // transaction first, then by source. Every producer of a cycle log sorts
-// its edge list with this comparator — the serial executor, the commit
-// pipeline, and the 2PL oracle all flow through it, so edge order can
+// its edge list with this comparator — the commit pipeline and the
+// server tests' serial oracle both flow through it, so edge order can
 // never depend on the execution path that discovered the edges.
 func EdgeLess(a, b Edge) bool {
 	if a.To != b.To {
