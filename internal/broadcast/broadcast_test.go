@@ -352,3 +352,33 @@ func TestNewAllocatesNothingPerEntry(t *testing.T) {
 		}
 	}
 }
+
+// TestAssembleAllocatesNothingPerItem pins assembly's per-item cost at
+// zero: with every item carrying S = 4 versions, a flat D = 4,000 becast
+// allocates fewer than 25 objects more than a D = 1,000 one. The
+// difference is the positions map's tables and the logarithmic growth of
+// the entry and overflow arrays; reading a version chain copies nothing.
+func TestAssembleAllocatesNothingPerItem(t *testing.T) {
+	allocs := func(d int) float64 {
+		srv := newServer(t, d, 4)
+		all := make([]model.ItemID, d)
+		for i := range all {
+			all[i] = model.ItemID(i + 1)
+		}
+		var log *server.CycleLog
+		for c := 0; c < 3; c++ {
+			log = commit(t, srv, all...)
+		}
+		prog := FlatProgram(d)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Assemble(srv, log, prog); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(4000)
+	t.Logf("Assemble allocs: D=1000 %v, D=4000 %v", small, large)
+	if large-small >= 25 {
+		t.Errorf("Assemble allocates %v objects at D=4000 and %v at D=1000: %v more, want < 25", large, small, large-small)
+	}
+}

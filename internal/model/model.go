@@ -72,10 +72,10 @@ func (t TxID) Before(u TxID) bool {
 }
 
 // String implements fmt.Stringer. Built with strconv rather than fmt:
-// trace recording stamps a TxID string on every serialization-graph event,
+// trace recording stamps TxID strings on every serialization-graph event,
 // so this sits on the observed hot path.
 func (t TxID) String() string {
-	//lint:allow hotalloc one pre-sized buffer per rendered event, and only when a trace recorder is attached
+	//lint:allow hotalloc one string per distinct transaction per cycle: the producer memoizes endpoint names across a cycle's edge events
 	buf := make([]byte, 0, 16)
 	buf = append(buf, "tx("...)
 	buf = strconv.AppendUint(buf, uint64(t.Cycle), 10)

@@ -147,3 +147,23 @@ func TestStationWithoutHTTP(t *testing.T) {
 		t.Error("registry not updated without HTTP endpoint")
 	}
 }
+
+// TestRegRecorderSteadyStateAllocs pins the registry recorder's per-event
+// cost: once an event type has been seen, folding another event of that
+// type into its events.<type> counter allocates nothing.
+func TestRegRecorderSteadyStateAllocs(t *testing.T) {
+	r := &regRecorder{reg: obs.NewRegistry()}
+	for _, e := range []obs.Event{
+		{Type: obs.TypeSGEdge, From: "tx(3.1)", To: "tx(4.0)"},
+		{Type: obs.TypeCycleEnd, Slots: 1000},
+		{Type: obs.TypeCycleBegin},
+	} {
+		r.Record(e)
+		if allocs := testing.AllocsPerRun(100, func() { r.Record(e) }); allocs != 0 {
+			t.Errorf("Record(%s) in steady state: %v allocs, want 0", e.Type, allocs)
+		}
+	}
+	if got := r.reg.Counter("events.sg-edge").Value(); got != 102 {
+		t.Errorf("events.sg-edge = %d, want 102", got)
+	}
+}

@@ -272,3 +272,67 @@ func TestMetricsStatusRaceUnderBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClientRecorderRaceUnderTick hammers the station's shared registry
+// recorder, and with it the per-type counter cache behind events.<type>,
+// from several client goroutines while the producer ticks into the same
+// recorder and /metricsz renders the registry. Under -race it flushes out
+// unsynchronized cache access; the final counts show that no increment
+// was lost to a racing first use of a type.
+func TestClientRecorderRaceUnderTick(t *testing.T) {
+	st := sampledStation(t, nil)
+	if _, ok := st.Registry().Snapshot().Counters["events.commit"]; ok {
+		t.Fatal("events.commit exists before any commit event")
+	}
+	const cycles, clients, perClient = 40, 4, 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < cycles; i++ {
+			if err := st.Tick(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := st.ClientRecorder()
+			for i := 0; i < perClient; i++ {
+				rec.Record(obs.Event{Type: obs.TypeCommit, Method: "sgt"})
+				rec.Record(obs.Event{Type: obs.TypeStaleness, Method: "sgt", Cycles: i % 4, N: 1, Span: 2})
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		client := &http.Client{Timeout: 5 * time.Second}
+		for i := 0; i < 20; i++ {
+			resp, err := client.Get(fmt.Sprintf("http://%s/metricsz", st.MetricsAddr()))
+			if err != nil {
+				t.Errorf("GET /metricsz: %v", err)
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			_ = resp.Body.Close()
+		}
+	}()
+	wg.Wait()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	counters := st.Registry().Snapshot().Counters
+	for _, name := range []string{"events.commit", "events.staleness"} {
+		if got := counters[name]; got != clients*perClient {
+			t.Errorf("%s = %d, want %d", name, got, clients*perClient)
+		}
+	}
+	if got := counters["events.cycle-end"]; got != cycles {
+		t.Errorf("events.cycle-end = %d, want %d", got, cycles)
+	}
+}

@@ -270,6 +270,12 @@ func TestZeroClientIngress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A shard goroutine counts a frame only after its Write returns, which
+	// may be after the tuner has read it; Close waits for every shard
+	// goroutine, so the counters are final once it returns.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 	tr := st.bc.Traffic()
 	if tr.BytesReceived != 0 {
 		t.Errorf("server received %d bytes from clients; push delivery must be one-way", tr.BytesReceived)

@@ -108,6 +108,7 @@ type Station struct {
 	reg   *obs.Registry
 	ring  *obs.Ring
 	rec   obs.Recorder   // ring + registry tee, the producer-side sink
+	fold  *regRecorder   // the registry half of rec, shared with clients
 	clock obs.Sampler    // non-nil iff cfg.Sample: the tick loop's tier clock
 	http  *metricsServer // nil unless cfg.HTTPAddr
 
@@ -125,8 +126,31 @@ type Station struct {
 // staleness histograms, and a cycle-length histogram. It must stay
 // clock-free: it sits in bpush-lint's deterministic scope (every
 // obs.Recorder implementation does), and span events already carry their
-// nanosecond measurements from the emitting tier's sampler.
-type regRecorder struct{ reg *obs.Registry }
+// nanosecond measurements from the emitting tier's sampler. It is safe
+// for concurrent use: the producer and every load client share one.
+type regRecorder struct {
+	reg *obs.Registry
+	mu  sync.Mutex
+	// events caches the events.<type> counter per event type, so the
+	// per-event cost is a map hit, not a name build and a registry
+	// lookup. A counter still comes into being on its type's first event.
+	events map[obs.Type]*obs.Counter
+}
+
+// eventCounter returns the events.<t> counter, creating it on first use.
+func (r *regRecorder) eventCounter(t obs.Type) *obs.Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c, ok := r.events[t]
+	if !ok {
+		if r.events == nil {
+			r.events = make(map[obs.Type]*obs.Counter)
+		}
+		c = r.reg.Counter("events." + string(t))
+		r.events[t] = c
+	}
+	return c
+}
 
 // cycleSlotBounds buckets becast lengths (data + overflow slots).
 var cycleSlotBounds = []float64{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
@@ -153,8 +177,8 @@ func spanMetric(tier string) string {
 	return "span." + strings.ReplaceAll(tier, "-", "_") + "_ns"
 }
 
-func (r regRecorder) Record(e obs.Event) {
-	r.reg.Counter("events." + string(e.Type)).Inc()
+func (r *regRecorder) Record(e obs.Event) {
+	r.eventCounter(e.Type).Inc()
 	switch e.Type {
 	case obs.TypeCycleEnd:
 		r.reg.Histogram("cycle.slots", cycleSlotBounds).Observe(float64(e.Slots))
@@ -192,7 +216,8 @@ func NewStation(cfg StationConfig) (*Station, error) {
 	}
 	reg := obs.NewRegistry()
 	ring := obs.NewRing(ringSize)
-	rec := obs.Tee(ring, regRecorder{reg})
+	fold := &regRecorder{reg: reg}
+	rec := obs.Tee(ring, fold)
 	var clock obs.Sampler
 	if cfg.Sample {
 		// The one place the station touches the clock; every measured
@@ -268,6 +293,7 @@ func NewStation(cfg StationConfig) (*Station, error) {
 		reg:     reg,
 		ring:    ring,
 		rec:     rec,
+		fold:    fold,
 		clock:   clock,
 		next:    int(src.Produced()),
 		mangler: mangler,
@@ -427,7 +453,7 @@ func (s *Station) recordSpan(c model.Cycle, tier string, ns int64) {
 // their per-read staleness events land in the same /metricsz snapshot as
 // the producer's tiers. It bypasses the trace ring: /tracez stays a
 // producer-side view instead of an interleaving of every client.
-func (s *Station) ClientRecorder() obs.Recorder { return regRecorder{s.reg} }
+func (s *Station) ClientRecorder() obs.Recorder { return s.fold }
 
 // FaultStats reports the mangler's cumulative fault counters; the zero
 // Stats when no fault plan is configured.

@@ -82,12 +82,12 @@ func (s *Server) applyRead(id model.TxID, item model.ItemID, edges map[sg.Edge]s
 	if !last.IsZero() && last != id {
 		edges[sg.Edge{From: last, To: id}] = struct{}{}
 	}
-	for _, r := range s.readers[item] {
+	for _, r := range st.readers {
 		if r == id {
 			return // already recorded
 		}
 	}
-	s.readers[item] = append(s.readers[item], id)
+	st.readers = append(st.readers, id)
 }
 
 func (s *Server) applyWrite(id model.TxID, item model.ItemID, next model.Cycle, edges map[sg.Edge]struct{}, log *CycleLog) {
@@ -96,12 +96,12 @@ func (s *Server) applyWrite(id model.TxID, item model.ItemID, next model.Cycle, 
 	if !cur.Writer.IsZero() && cur.Writer != id {
 		edges[sg.Edge{From: cur.Writer, To: id}] = struct{}{}
 	}
-	for _, r := range s.readers[item] {
+	for _, r := range st.readers {
 		if r != id && !r.IsZero() {
 			edges[sg.Edge{From: r, To: id}] = struct{}{}
 		}
 	}
-	delete(s.readers, item)
+	st.readers = nil
 
 	st.writeCount++
 	val := initialValue(item) + model.Value(st.writeCount)

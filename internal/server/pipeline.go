@@ -67,17 +67,15 @@ type itemPlan struct {
 
 	// Pre-batch state, captured serially by the planner: the writer of
 	// the item's current version and the readers recorded since its last
-	// write. preReaders aliases the server's reader slice; execute may
-	// append to it (growth reallocates) but never rewrites live entries.
+	// write. preReaders aliases the item's reader slice, which only the
+	// worker executing this plan touches: execute truncates and refills
+	// its backing array in place and installs the surviving set.
 	preWriter  model.TxID
 	preReaders []model.TxID
 
 	// Place outputs (writes > 0 only).
 	firstW, lastW model.TxID
 	allW          []model.TxID
-
-	// Execute output: the reader set surviving the batch.
-	postReaders []model.TxID
 }
 
 // CommitAndAdvance executes the given update transactions as if they
@@ -200,11 +198,6 @@ func (s *Server) CommitAndAdvance(txs []model.ServerTx) (*CycleLog, error) {
 			log.AllWriters[pl.item] = pl.allW
 			updated = append(updated, pl.item)
 		}
-		if len(pl.postReaders) > 0 {
-			s.readers[pl.item] = pl.postReaders
-		} else {
-			delete(s.readers, pl.item)
-		}
 	}
 	// Written items in ascending order — exactly det.SortedKeys(FirstWriter),
 	// built without re-walking the map.
@@ -267,7 +260,7 @@ func (s *Server) plan(txs []model.ServerTx, next model.Cycle) (plans []itemPlan,
 				plans = append(plans, itemPlan{
 					item:       op.Item,
 					preWriter:  st.versions[len(st.versions)-1].Writer,
-					preReaders: s.readers[op.Item],
+					preReaders: st.readers,
 				})
 				pi = int32(len(plans))
 				scratch[op.Item] = pi
@@ -352,7 +345,7 @@ func (s *Server) placeItem(pl *itemPlan, arena []plannedOp, next model.Cycle, wA
 // executeItem replays one item's operation timeline against its planned
 // pre-state, emitting exactly the conflict edges the serial loop's
 // applyRead/applyWrite would have recorded for it, filling the placed
-// version's value, and capturing the reader set that survives the batch.
+// version's value, and installing the reader set that survives the batch.
 // It appends edges to edgeBuf and returns the extended buffer.
 func (s *Server) executeItem(pl *itemPlan, arena []plannedOp, next model.Cycle, edgeBuf []sg.Edge) []sg.Edge {
 	curWriter := pl.preWriter
@@ -370,7 +363,8 @@ func (s *Server) executeItem(pl *itemPlan, arena []plannedOp, next model.Cycle, 
 					edgeBuf = append(edgeBuf, sg.Edge{From: r, To: id})
 				}
 			}
-			readers = nil
+			// Every reader is an edge now; keep the backing array.
+			readers = readers[:0]
 			curWriter = id
 		} else {
 			seen := false
@@ -385,9 +379,9 @@ func (s *Server) executeItem(pl *itemPlan, arena []plannedOp, next model.Cycle, 
 			}
 		}
 	}
-	pl.postReaders = readers
+	st := &s.items[pl.item-1]
+	st.readers = readers
 	if pl.writes > 0 {
-		st := &s.items[pl.item-1]
 		st.versions[len(st.versions)-1].Value = initialValue(pl.item) + model.Value(st.writeCount)
 	}
 	return edgeBuf

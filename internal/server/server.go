@@ -40,6 +40,8 @@ type Config struct {
 	// final sorted delta, after all of the cycle's transactions committed,
 	// and phase-event fields are worker-count invariant, so the stream is
 	// identical at every pipeline worker count. Nil means not observed.
+	// Each distinct TxID is rendered to its string once per cycle, not
+	// once per edge endpoint (about 1,900 edges per cycle at U=500).
 	Recorder obs.Recorder
 }
 
@@ -89,10 +91,9 @@ type CycleLog struct {
 // concurrent use; the simulator and the network broadcaster drive it from a
 // single goroutine, which matches the single-writer model of the paper.
 type Server struct {
-	cfg     Config
-	cycle   model.Cycle // cycle of the most recently produced becast
-	items   []itemState // index i holds item i+1
-	readers map[model.ItemID][]model.TxID
+	cfg   Config
+	cycle model.Cycle // cycle of the most recently produced becast
+	items []itemState // index i holds item i+1
 	// planScratch maps item -> 1+index of the item's plan within the
 	// commit pipeline's current batch (0 = untouched). It is allocated
 	// once, lazily, and re-zeroed after every batch by walking only the
@@ -107,6 +108,9 @@ type Server struct {
 	plansBuf    []itemPlan
 	arenaBuf    []plannedOp
 	edgeScratch []partitionScratch
+	// txNames memoizes TxID strings while recordDelta renders one cycle's
+	// edge events; it is cleared when the cycle's events are out.
+	txNames map[model.TxID]string
 }
 
 type itemState struct {
@@ -115,6 +119,11 @@ type itemState struct {
 	versions []model.Version
 	// writeCount feeds deterministic, per-item-unique values.
 	writeCount int64
+	// readers lists, in read order, the transactions that read the item
+	// since its last write; a write turns each into an rw edge. The
+	// backing array is kept across writes (truncated, not dropped), so a
+	// hot item's reader set stops allocating once it has grown.
+	readers []model.TxID
 }
 
 // New creates a server with the initial database load. Item i starts with
@@ -125,10 +134,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:     cfg,
-		cycle:   1,
-		items:   make([]itemState, cfg.DBSize),
-		readers: make(map[model.ItemID][]model.TxID),
+		cfg:   cfg,
+		cycle: 1,
+		items: make([]itemState, cfg.DBSize),
 	}
 	for i := range s.items {
 		s.items[i].versions = []model.Version{{
@@ -162,16 +170,16 @@ func (s *Server) Current(id model.ItemID) (model.Version, error) {
 	return vs[len(vs)-1], nil
 }
 
-// Versions returns a copy of the retained versions of an item, oldest
-// first; the last element is the current version.
+// Versions returns the retained versions of an item, oldest first; the
+// last element is the current version. The slice is a read-only view of
+// the server's own chain (capacity cut to length, so an append copies),
+// valid until the next CommitAndAdvance, which may trim it in place.
 func (s *Server) Versions(id model.ItemID) ([]model.Version, error) {
 	if err := s.checkItem(id); err != nil {
 		return nil, err
 	}
-	src := s.items[id-1].versions
-	out := make([]model.Version, len(src))
-	copy(out, src)
-	return out, nil
+	vs := s.items[id-1].versions
+	return vs[:len(vs):len(vs)], nil
 }
 
 // Snapshot returns the current database state (the state the next becast
@@ -194,20 +202,36 @@ func (s *Server) checkItem(id model.ItemID) error {
 
 // recordDelta emits one sg-edge event per edge of the cycle's final sorted
 // delta. Sorting has already canonicalized the order, so the event stream
-// does not depend on the execution path that produced the log.
+// does not depend on the execution path that produced the log. A cycle's
+// edges share few endpoints (every To is one of the batch's transactions),
+// so each distinct TxID is rendered once and its string reused.
 func (s *Server) recordDelta(log *CycleLog) {
 	rec := s.cfg.Recorder
 	if rec == nil {
 		return
 	}
+	if s.txNames == nil {
+		s.txNames = make(map[model.TxID]string)
+	}
+	defer clear(s.txNames)
 	for _, e := range log.Delta.Edges {
 		rec.Record(obs.Event{
 			Type: obs.TypeSGEdge,
 			T:    obs.At(log.Cycle, 0),
-			From: e.From.String(),
-			To:   e.To.String(),
+			From: s.txName(e.From),
+			To:   s.txName(e.To),
 		})
 	}
+}
+
+// txName returns id's string, rendering it on first use in the cycle.
+func (s *Server) txName(id model.TxID) string {
+	name, ok := s.txNames[id]
+	if !ok {
+		name = id.String()
+		s.txNames[id] = name
+	}
+	return name
 }
 
 // trimVersions discards versions that no transaction with span <= S could

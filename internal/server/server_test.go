@@ -329,19 +329,41 @@ func TestValuesMonotonePerItem(t *testing.T) {
 	}
 }
 
-func TestVersionsReturnsCopy(t *testing.T) {
+// TestVersionsViewIsCapped pins the read-only view's guard: Versions
+// returns the server's own chain without copying, but with capacity cut
+// to length, so a caller's append copies instead of writing into the
+// slot the next commit's version will occupy.
+func TestVersionsViewIsCapped(t *testing.T) {
 	s := mustNew(t, Config{DBSize: 2, MaxVersions: 2})
+	if _, err := s.CommitAndAdvance([]model.ServerTx{{Ops: rw(1)}}); err != nil {
+		t.Fatal(err)
+	}
 	vs, err := s.Versions(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs[0].Value = -1
+	if len(vs) != 2 || cap(vs) != len(vs) {
+		t.Fatalf("Versions(1): len %d cap %d, want len 2 and cap == len", len(vs), cap(vs))
+	}
+	_ = append(vs, model.Version{Value: -1, Cycle: 99})
+	if _, err := s.CommitAndAdvance([]model.ServerTx{{Ops: rw(1)}}); err != nil {
+		t.Fatal(err)
+	}
 	vs2, err := s.Versions(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs2[0].Value == -1 {
-		t.Error("Versions() exposed internal slice")
+	for _, v := range vs2 {
+		if v.Value == -1 || v.Cycle == 99 {
+			t.Fatalf("caller's append reached the chain: %+v", vs2)
+		}
+	}
+	cur, err := s.Current(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs2[len(vs2)-1] != cur {
+		t.Errorf("view's last version %+v, Current %+v", vs2[len(vs2)-1], cur)
 	}
 }
 

@@ -2,8 +2,8 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
-	"bpush/internal/det"
 	"bpush/internal/model"
 	"bpush/internal/obs"
 )
@@ -14,7 +14,7 @@ import (
 // current cycle number, the retained versions (plus the per-item write
 // counter feeding deterministic values), and the cross-cycle reader sets
 // (a write of x adds rw edges for every transaction that read x since its
-// last write, so the readers map carries conflict state across cycle
+// last write, so the reader sets carry conflict state across cycle
 // boundaries). The commit pipeline's scratch buffers are deliberately
 // absent: they are lazily allocated caches whose contents never outlive
 // one commit.
@@ -49,16 +49,13 @@ type ReaderEntry struct {
 // nothing with the live server, so it stays valid while commits continue.
 func (s *Server) ExportState() State {
 	st := State{Cycle: s.cycle, Items: make([]ItemState, len(s.items))}
-	for i := range s.items {
-		vs := make([]model.Version, len(s.items[i].versions))
-		copy(vs, s.items[i].versions)
-		st.Items[i] = ItemState{WriteCount: s.items[i].writeCount, Versions: vs}
-	}
-	// Sort only the map keys; each reader list keeps its insertion order.
-	for _, item := range det.SortedKeys(s.readers) {
-		rs := make([]model.TxID, len(s.readers[item]))
-		copy(rs, s.readers[item])
-		st.Readers = append(st.Readers, ReaderEntry{Item: item, Readers: rs})
+	// Items are walked in ascending order, so reader entries come out in
+	// item order; each reader list keeps its insertion order.
+	for i, it := range s.items {
+		st.Items[i] = ItemState{WriteCount: it.writeCount, Versions: slices.Clone(it.versions)}
+		if len(it.readers) > 0 {
+			st.Readers = append(st.Readers, ReaderEntry{Item: model.ItemID(i + 1), Readers: slices.Clone(it.readers)})
+		}
 	}
 	return st
 }
@@ -74,26 +71,21 @@ func Restore(cfg Config, st State) (*Server, error) {
 		return nil, fmt.Errorf("server: state has %d items, config says DBSize=%d", len(st.Items), cfg.DBSize)
 	}
 	s := &Server{
-		cfg:     cfg,
-		cycle:   st.Cycle,
-		items:   make([]itemState, len(st.Items)),
-		readers: make(map[model.ItemID][]model.TxID, len(st.Readers)),
+		cfg:   cfg,
+		cycle: st.Cycle,
+		items: make([]itemState, len(st.Items)),
 	}
 	for i, it := range st.Items {
 		if len(it.Versions) == 0 {
 			return nil, fmt.Errorf("server: state item %d has no versions", i+1)
 		}
-		vs := make([]model.Version, len(it.Versions))
-		copy(vs, it.Versions)
-		s.items[i] = itemState{writeCount: it.WriteCount, versions: vs}
+		s.items[i] = itemState{writeCount: it.WriteCount, versions: slices.Clone(it.Versions)}
 	}
 	for _, re := range st.Readers {
 		if err := s.checkItem(re.Item); err != nil {
 			return nil, err
 		}
-		rs := make([]model.TxID, len(re.Readers))
-		copy(rs, re.Readers)
-		s.readers[re.Item] = rs
+		s.items[re.Item-1].readers = slices.Clone(re.Readers)
 	}
 	return s, nil
 }
