@@ -91,8 +91,10 @@ type Config struct {
 
 	// Recorder, when non-nil, receives the producer-side trace events:
 	// one cycle-begin/cycle-end pair per produced cycle (with the becast
-	// length in slots) and the serialization-graph edges each cycle's
-	// commits contributed. Production is serialized under the source's
+	// length in slots) and, per commit, the server's producer-phase events
+	// and one sg-delta event with the number of serialization-graph edges
+	// the cycle's commits contributed (the edges themselves are in the
+	// frame). Production is serialized under the source's
 	// lock, so the event stream is deterministic no matter how many
 	// consumers race to trigger production. A resumed source does not
 	// re-emit events for cycles recovered from disk — those were emitted

@@ -72,10 +72,10 @@ func (t TxID) Before(u TxID) bool {
 }
 
 // String implements fmt.Stringer. Built with strconv rather than fmt:
-// trace recording stamps TxID strings on every serialization-graph event,
-// so this sits on the observed hot path.
+// a traced SGT client stamps the TxID string of every precedence edge it
+// records, so this sits on an observed hot path.
 func (t TxID) String() string {
-	//lint:allow hotalloc one string per distinct transaction per cycle: the producer memoizes endpoint names across a cycle's edge events
+	//lint:allow hotalloc reached from SGT NewCycle only with a trace recorder attached: one string per traced precedence edge (the producer renders none)
 	buf := make([]byte, 0, 16)
 	buf = append(buf, "tx("...)
 	buf = strconv.AppendUint(buf, uint64(t.Cycle), 10)

@@ -121,6 +121,74 @@ func TestTracezEndpoint(t *testing.T) {
 	}
 }
 
+// TestTraceRingHoldsWholeCycles pins the /tracez ring's reach on the
+// paper's write-heavy maximum (D = 1,000, N = 50, U = 500, about 1,900
+// delta edges per cycle): with the default TraceRing, the producer's
+// per-cycle events — cycle-begin, cycle-end, the three producer-phase
+// events and the sg-delta event — of at least two whole cycles are there
+// after 8 ticks.
+func TestTraceRingHoldsWholeCycles(t *testing.T) {
+	st, err := NewStation(StationConfig{
+		Addr:     "127.0.0.1:0",
+		DBSize:   1000,
+		Versions: 4,
+		Workload: workload.ServerConfig{
+			DBSize: 1000, UpdateRange: 500, Offset: 100, Theta: 0.95,
+			TxPerCycle: 50, UpdatesPerCycle: 500, ReadsPerUpdate: 4,
+		},
+		Seed:     1,
+		HTTPAddr: "127.0.0.1:0",
+		Sample:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	for i := 0; i < 8; i++ {
+		if err := st.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var trace struct {
+		Dropped uint64      `json:"dropped"`
+		Events  []obs.Event `json:"events"`
+	}
+	getJSON(t, fmt.Sprintf("http://%s/tracez", st.MetricsAddr()), &trace)
+	type seen struct{ begin, end, phases, delta int }
+	cycles := map[uint64]*seen{}
+	var edges int64
+	for _, e := range trace.Events {
+		c := cycles[e.T.Cycle]
+		if c == nil {
+			c = &seen{}
+			cycles[e.T.Cycle] = c
+		}
+		switch e.Type {
+		case obs.TypeCycleBegin:
+			c.begin++
+		case obs.TypeCycleEnd:
+			c.end++
+		case obs.TypeProducerPhase:
+			c.phases++
+		case obs.TypeSGDelta:
+			c.delta++
+			edges += e.N
+		}
+	}
+	whole := 0
+	for _, c := range cycles {
+		if *c == (seen{begin: 1, end: 1, phases: 3, delta: 1}) {
+			whole++
+		}
+	}
+	if whole < 2 {
+		t.Errorf("/tracez holds %d whole producer cycles (%d events, %d dropped), want >= 2", whole, len(trace.Events), trace.Dropped)
+	}
+	if want := st.Registry().Counter("sg.delta_edges").Value(); edges != want || edges < 1000 {
+		t.Errorf("sg-delta events in the ring report %d edges, sg.delta_edges = %d (want equal, and >= 1000)", edges, want)
+	}
+}
+
 func TestStationWithoutHTTP(t *testing.T) {
 	st, err := NewStation(StationConfig{
 		Addr:     "127.0.0.1:0",
@@ -149,21 +217,62 @@ func TestStationWithoutHTTP(t *testing.T) {
 }
 
 // TestRegRecorderSteadyStateAllocs pins the registry recorder's per-event
-// cost: once an event type has been seen, folding another event of that
-// type into its events.<type> counter allocates nothing.
+// cost: once an event's metrics exist, folding another event with the same
+// type (and the same Reason or Method, where its metric names carry one)
+// allocates nothing. It covers every event type the station's producer,
+// fan-out and tick loop or a ClientRecorder user records, and checks that
+// sg.delta_edges sums the sg-delta events' edge counts.
 func TestRegRecorderSteadyStateAllocs(t *testing.T) {
 	r := &regRecorder{reg: obs.NewRegistry()}
+	var deltaEdges int64
 	for _, e := range []obs.Event{
-		{Type: obs.TypeSGEdge, From: "tx(3.1)", To: "tx(4.0)"},
-		{Type: obs.TypeCycleEnd, Slots: 1000},
+		{Type: obs.TypeRunBegin, Method: "sgt"},
 		{Type: obs.TypeCycleBegin},
+		{Type: obs.TypeCycleEnd, Slots: 1000},
+		{Type: obs.TypeCycleMissed},
+		{Type: obs.TypeFrame, Slots: 1000},
+		{Type: obs.TypeRead, Item: 7, Source: obs.SourceAir, Ser: 3},
+		{Type: obs.TypeInvHit, Item: 7, Reason: "fatal"},
+		{Type: obs.TypeRestart, Item: 7},
+		{Type: obs.TypeAbort, Reason: "x invalidated", Span: 2, Cycles: 3},
+		{Type: obs.TypeCommit, Span: 2, Cycles: 3, Ser: 4},
+		{Type: obs.TypeSGEdge, Item: 7, From: "R", To: "tx(4.0)"},
+		{Type: obs.TypeSGCycleTest, To: "tx(4.0)", Hit: true},
+		{Type: obs.TypeSGDelta, N: 1918},
+		{Type: obs.TypeProducerPhase, Reason: obs.PhasePlan, N: 50, Slots: 480},
+		{Type: obs.TypeProducerPhase, Reason: obs.PhaseExecute, N: 1918},
+		{Type: obs.TypeSpan, Reason: obs.SpanCommit, N: 900_000},
+		{Type: obs.TypeSpan, Reason: obs.SpanRead, N: 4_000},
+		{Type: obs.TypeFault, Reason: "drop"},
+		{Type: obs.TypeStaleness, Method: "sgt", Ser: 3, Cycles: 2, Span: 1, N: 1},
+		{Type: obs.TypeStaleness, Method: "mv", Ser: 3, Cycles: 1},
 	} {
 		r.Record(e)
-		if allocs := testing.AllocsPerRun(100, func() { r.Record(e) }); allocs != 0 {
-			t.Errorf("Record(%s) in steady state: %v allocs, want 0", e.Type, allocs)
+		allocs := testing.AllocsPerRun(100, func() { r.Record(e) })
+		if allocs != 0 {
+			t.Errorf("Record(%s %q) in steady state: %v allocs, want 0", e.Type, e.Reason+e.Method, allocs)
+		}
+		if e.Type == obs.TypeSGDelta {
+			deltaEdges += 102 * e.N // one warm-up event, then 101 from AllocsPerRun
 		}
 	}
-	if got := r.reg.Counter("events.sg-edge").Value(); got != 102 {
-		t.Errorf("events.sg-edge = %d, want 102", got)
+	for n := int64(0); n < 10; n++ {
+		r.Record(obs.Event{Type: obs.TypeSGDelta, N: n})
+		deltaEdges += n
+	}
+	if got := r.reg.Counter("sg.delta_edges").Value(); got != deltaEdges {
+		t.Errorf("sg.delta_edges = %d, want %d", got, deltaEdges)
+	}
+	if got := r.reg.Counter("events.sg-delta").Value(); got != 112 {
+		t.Errorf("events.sg-delta = %d, want 112", got)
+	}
+	if got := r.reg.Counter("events.producer-phase").Value(); got != 204 {
+		t.Errorf("events.producer-phase = %d, want 204", got)
+	}
+	if got := r.reg.Counter("producer.execute.units").Value(); got != 102*1918 {
+		t.Errorf("producer.execute.units = %d, want %d", got, 102*1918)
+	}
+	if got := r.reg.Histogram("staleness.sgt.age_cycles", nil).Snapshot().Count; got != 102 {
+		t.Errorf("staleness.sgt.age_cycles holds %d samples, want 102", got)
 	}
 }

@@ -122,34 +122,84 @@ type Station struct {
 
 // regRecorder folds trace events into the station's metric registry: one
 // counter per event type, per-kind fault counters, per-phase producer
-// pipeline unit counters, latency-tier span histograms, per-scheme
-// staleness histograms, and a cycle-length histogram. It must stay
-// clock-free: it sits in bpush-lint's deterministic scope (every
-// obs.Recorder implementation does), and span events already carry their
-// nanosecond measurements from the emitting tier's sampler. It is safe
-// for concurrent use: the producer and every load client share one.
+// pipeline unit counters, the producer's SG-delta edge total,
+// latency-tier span histograms, per-scheme staleness histograms, and a
+// cycle-length histogram. It must stay clock-free: it sits in
+// bpush-lint's deterministic scope (every obs.Recorder implementation
+// does), and span events already carry their nanosecond measurements from
+// the emitting tier's sampler. It is safe for concurrent use: the
+// producer and every load client share one.
 type regRecorder struct {
 	reg *obs.Registry
 	mu  sync.Mutex
-	// events caches the events.<type> counter per event type, so the
-	// per-event cost is a map hit, not a name build and a registry
-	// lookup. A counter still comes into being on its type's first event.
-	events map[obs.Type]*obs.Counter
+	// handles caches the registry handles per foldKey, so the per-event
+	// cost is a map hit, not a name build and a registry lookup. Metrics
+	// still come into being on their key's first event.
+	handles map[foldKey]foldHandles
 }
 
-// eventCounter returns the events.<t> counter, creating it on first use.
-func (r *regRecorder) eventCounter(t obs.Type) *obs.Counter {
+// foldKey names the metrics one event updates: its type and, for the
+// types whose metric names carry it, the event's Reason or Method.
+type foldKey struct {
+	t    obs.Type
+	name string
+}
+
+// foldHandles are the registry handles of one foldKey.
+type foldHandles struct {
+	events *obs.Counter // events.<type>
+	// count is faults.<kind>, producer.<phase>.units or sg.delta_edges.
+	count *obs.Counter
+	// hists is cycle.slots, span.<tier>_ns, or the three
+	// staleness.<method>.{age,lag,span}_cycles histograms.
+	hists [3]*obs.Histogram
+}
+
+// lookup returns e's handles, creating them on their key's first event.
+func (r *regRecorder) lookup(e obs.Event) foldHandles {
+	k := foldKey{t: e.Type}
+	switch e.Type {
+	case obs.TypeFault, obs.TypeProducerPhase, obs.TypeSpan:
+		k.name = e.Reason
+	case obs.TypeStaleness:
+		k.name = e.Method
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.events[t]
+	h, ok := r.handles[k]
 	if !ok {
-		if r.events == nil {
-			r.events = make(map[obs.Type]*obs.Counter)
+		if r.handles == nil {
+			r.handles = make(map[foldKey]foldHandles)
 		}
-		c = r.reg.Counter("events." + string(t))
-		r.events[t] = c
+		h = r.register(k)
+		r.handles[k] = h
 	}
-	return c
+	return h
+}
+
+// register looks up (creating) the registry metrics of k.
+func (r *regRecorder) register(k foldKey) foldHandles {
+	h := foldHandles{events: r.reg.Counter("events." + string(k.t))}
+	switch k.t {
+	case obs.TypeCycleEnd:
+		h.hists[0] = r.reg.Histogram("cycle.slots", cycleSlotBounds)
+	case obs.TypeFault:
+		h.count = r.reg.Counter("faults." + k.name)
+	case obs.TypeProducerPhase:
+		// Per-phase throughput of the commit pipeline: transactions
+		// planned, items placed, conflict edges executed.
+		h.count = r.reg.Counter("producer." + k.name + ".units")
+	case obs.TypeSGDelta:
+		h.count = r.reg.Counter("sg.delta_edges")
+	case obs.TypeSpan:
+		h.hists[0] = r.reg.Histogram(spanMetric(k.name), spanNsBounds)
+	case obs.TypeStaleness:
+		p := "staleness." + k.name + "."
+		h.hists[0] = r.reg.Histogram(p+"age_cycles", stalenessCycleBounds)
+		h.hists[1] = r.reg.Histogram(p+"lag_cycles", stalenessCycleBounds)
+		h.hists[2] = r.reg.Histogram(p+"span_cycles", stalenessCycleBounds)
+	}
+	return h
 }
 
 // cycleSlotBounds buckets becast lengths (data + overflow slots).
@@ -178,23 +228,21 @@ func spanMetric(tier string) string {
 }
 
 func (r *regRecorder) Record(e obs.Event) {
-	r.eventCounter(e.Type).Inc()
+	h := r.lookup(e)
+	h.events.Inc()
 	switch e.Type {
 	case obs.TypeCycleEnd:
-		r.reg.Histogram("cycle.slots", cycleSlotBounds).Observe(float64(e.Slots))
+		h.hists[0].Observe(float64(e.Slots))
 	case obs.TypeFault:
-		r.reg.Counter("faults." + e.Reason).Inc()
-	case obs.TypeProducerPhase:
-		// Per-phase throughput of the commit pipeline: transactions
-		// planned, items placed, conflict edges executed.
-		r.reg.Counter("producer." + e.Reason + ".units").Add(e.N)
+		h.count.Inc()
+	case obs.TypeProducerPhase, obs.TypeSGDelta:
+		h.count.Add(e.N)
 	case obs.TypeSpan:
-		r.reg.Histogram(spanMetric(e.Reason), spanNsBounds).Observe(float64(e.N))
+		h.hists[0].Observe(float64(e.N))
 	case obs.TypeStaleness:
-		p := "staleness." + e.Method + "."
-		r.reg.Histogram(p+"age_cycles", stalenessCycleBounds).Observe(float64(e.Cycles))
-		r.reg.Histogram(p+"lag_cycles", stalenessCycleBounds).Observe(float64(e.N))
-		r.reg.Histogram(p+"span_cycles", stalenessCycleBounds).Observe(float64(e.Span))
+		h.hists[0].Observe(float64(e.Cycles))
+		h.hists[1].Observe(float64(e.N))
+		h.hists[2].Observe(float64(e.Span))
 	}
 }
 

@@ -75,11 +75,17 @@ const (
 	// TypeCommit closes a committed query: Span, Cycles/Slots latency,
 	// Ser the serialization cycle (0 for SGT).
 	TypeCommit Type = "commit"
-	// TypeSGEdge is a serialization-graph edge coming into existence:
-	// server-side conflict edges of the broadcast delta, or the client's
-	// precedence edge R -> From on an invalidation (From/To are TxID
-	// strings; "R" denotes the local read-only transaction).
+	// TypeSGEdge is a client-side serialization-graph edge coming into
+	// existence: the SGT client's precedence edge R -> To on an
+	// invalidation (From is "R", the local read-only transaction; To is a
+	// TxID string). The producer does not emit it: the server's conflict
+	// edges are in every cycle's frame and durable log, and the producer
+	// reports them as one TypeSGDelta event per cycle.
 	TypeSGEdge Type = "sg-edge"
+	// TypeSGDelta closes the producer's serialization-graph delta of one
+	// cycle, stamped at (cycle, 0); N carries the number of edges in the
+	// delta.
+	TypeSGDelta Type = "sg-delta"
 	// TypeSGCycleTest is one client-side SGT read test; Hit reports
 	// whether admitting the read would close a cycle (and thus aborts).
 	TypeSGCycleTest Type = "sg-cycle-test"

@@ -10,20 +10,24 @@ import (
 )
 
 // countingRecorder is a trace sink that keeps nothing: it counts the
-// events it receives and the TxID bytes they carry, so the endpoint
-// names are produced and read as a real sink would.
-type countingRecorder struct{ events, nameBytes int }
+// events it receives and sums the edge counts of the sg-delta events.
+type countingRecorder struct {
+	events     int
+	deltaEdges int64
+}
 
 func (c *countingRecorder) Record(e obs.Event) {
 	c.events++
-	c.nameBytes += len(e.From) + len(e.To)
+	if e.Type == obs.TypeSGDelta {
+		c.deltaEdges += e.N
+	}
 }
 
 // commitAllocs commits warm cycles of a seeded batch stream shaped like
 // the paper's write-heavy maximum (D = 1,000, N = 50, U updates, four
 // reads per update), then measures the allocations of further commits
 // with a counting recorder attached. It returns the allocations per
-// commit and the sg-edge events per commit.
+// commit and the delta edges per commit, counted from the cycle logs.
 func commitAllocs(t *testing.T, updates int) (allocs float64, edges int) {
 	t.Helper()
 	const warm, runs = 40, 20
@@ -46,23 +50,34 @@ func commitAllocs(t *testing.T, updates int) (allocs float64, edges int) {
 			t.Fatal(err)
 		}
 	}
-	next, before := warm, rec.events
+	next, total := warm, 0
+	eventsBefore, deltaBefore := rec.events, rec.deltaEdges
 	allocs = testing.AllocsPerRun(runs, func() {
-		if _, err := s.CommitAndAdvance(batches[next]); err != nil {
+		log, err := s.CommitAndAdvance(batches[next])
+		if err != nil {
 			t.Fatal(err)
 		}
+		total += len(log.Delta.Edges)
 		next++
 	})
-	// Three of each commit's events are producer-phase events.
-	return allocs, (rec.events-before)/(runs+1) - 3
+	// Three producer-phase events and one sg-delta event per commit,
+	// whatever the number of edges.
+	if got, want := rec.events-eventsBefore, 4*(runs+1); got != want {
+		t.Errorf("%d events for %d commits, want %d", got, runs+1, want)
+	}
+	if got := rec.deltaEdges - deltaBefore; got != int64(total) {
+		t.Errorf("sg-delta events report %d edges, cycle logs hold %d", got, total)
+	}
+	return allocs, total / (runs + 1)
 }
 
 // TestCommitAllocsDoNotGrowWithEdges is the commit pipeline's allocation
-// pin. A traced write-heavy commit emits about 1,900 sg-edge events
-// between about 370 distinct transactions; it allocates about 400
-// objects, one string per distinct transaction and a few dozen for the
-// cycle log, none per edge. Going from U = 50 to U = 500 adds about 1,550
-// edges per commit and must add fewer than one allocation per 8 of them.
+// pin. A traced write-heavy commit builds about 1,900 delta edges and
+// allocates about 40 objects, for the cycle log and the pipeline's
+// per-commit bookkeeping: none per edge or per transaction, and it emits
+// one trace event per phase and one per delta, not one per edge. Going
+// from U = 50 to U = 500 adds about 1,550 edges per commit and must add
+// fewer than one allocation per 8 of them.
 func TestCommitAllocsDoNotGrowWithEdges(t *testing.T) {
 	heavy, heavyEdges := commitAllocs(t, 500)
 	light, lightEdges := commitAllocs(t, 50)
@@ -70,7 +85,7 @@ func TestCommitAllocsDoNotGrowWithEdges(t *testing.T) {
 	if heavyEdges < 1000 || heavyEdges < 3*lightEdges {
 		t.Fatalf("batch shape drifted: %d edges at U=500, %d at U=50", heavyEdges, lightEdges)
 	}
-	const ceiling = 440 // 402 measured, plus a margin
+	const ceiling = 50 // 41 measured, plus a margin
 	if heavy > ceiling {
 		t.Errorf("write-heavy commit allocates %v objects, ceiling %d", heavy, ceiling)
 	}

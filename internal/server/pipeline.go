@@ -388,13 +388,17 @@ func (s *Server) executeItem(pl *itemPlan, arena []plannedOp, next model.Cycle, 
 }
 
 // partitionScratch is one partition's reusable edge workspace: raw
-// collects the edges execute emits, sorted is the counting sort's target.
-// Both alias server-owned scratch — their contents are dead once the
-// merge has consumed them, so mergeEdges copies before anything escapes
-// into the CycleLog.
+// collects the edges execute emits, sorted is the counting sort's target,
+// counts and next are its run starts and fill cursors, and keys holds one
+// long run's packed From keys while it sorts. All of it is server-owned
+// scratch — its contents are dead once the merge has consumed them, so
+// mergeEdges copies before anything escapes into the CycleLog.
 type partitionScratch struct {
 	raw    []sg.Edge
 	sorted []sg.Edge
+	counts []int32
+	next   []int32
+	keys   []uint64
 }
 
 // sortDedupPartition sorts one partition's edges into the canonical
@@ -402,15 +406,20 @@ type partitionScratch struct {
 // of the committing batch (To.Cycle is the new cycle for all of them), so
 // ordering by To reduces to ordering by To.Seq in [0, ntx) — a counting
 // sort, not a comparison sort. Within one To run (the edges one
-// transaction collected through this partition's items) the few entries
-// are ordered by From. The result aliases ps's scratch.
+// transaction collected through this partition's items) the entries are
+// ordered by From. The result aliases ps's scratch.
 func sortDedupPartition(edges []sg.Edge, ntx int, ps *partitionScratch) []sg.Edge {
 	if len(edges) < 2 {
 		return edges
 	}
+	if cap(ps.counts) < ntx+1 {
+		ps.counts = make([]int32, ntx+1)
+		ps.next = make([]int32, ntx)
+	}
 	// counts[s+1] accumulates the size of To.Seq==s's run, so the prefix
 	// sum leaves counts[s] = start of run s and counts[ntx] = len(edges).
-	counts := make([]int32, ntx+1)
+	counts := ps.counts[:ntx+1]
+	clear(counts)
 	for _, e := range edges {
 		counts[e.To.Seq+1]++
 	}
@@ -421,7 +430,7 @@ func sortDedupPartition(edges []sg.Edge, ntx int, ps *partitionScratch) []sg.Edg
 		ps.sorted = make([]sg.Edge, len(edges))
 	}
 	out := ps.sorted[:len(edges)]
-	next := make([]int32, ntx)
+	next := ps.next[:ntx]
 	copy(next, counts[:ntx])
 	for _, e := range edges {
 		out[next[e.To.Seq]] = e
@@ -439,7 +448,7 @@ func sortDedupPartition(edges []sg.Edge, ntx int, ps *partitionScratch) []sg.Edg
 					run[j], run[j-1] = run[j-1], run[j]
 				}
 			}
-		} else {
+		} else if !sortRunPacked(run, ps) {
 			slices.SortFunc(run, func(a, b sg.Edge) int {
 				if a.From.Before(b.From) {
 					return -1
@@ -460,6 +469,28 @@ func sortDedupPartition(edges []sg.Edge, ntx int, ps *partitionScratch) []sg.Edg
 		}
 	}
 	return dedup
+}
+
+// sortRunPacked sorts one To run by From as packed uint64 keys
+// (From.Cycle<<32 | From.Seq), which order exactly as TxID.Before does
+// while every From.Cycle is below 2³², and writes the sorted edges back.
+// It reports false, leaving run as it was, when a From.Cycle does not fit
+// in 32 bits; the caller then sorts with the TxID comparator.
+func sortRunPacked(run []sg.Edge, ps *partitionScratch) bool {
+	keys := ps.keys[:0]
+	for _, e := range run {
+		if e.From.Cycle>>32 != 0 {
+			return false
+		}
+		keys = append(keys, uint64(e.From.Cycle)<<32|uint64(e.From.Seq))
+	}
+	ps.keys = keys // keep any growth for the next run
+	slices.Sort(keys)
+	to := run[0].To
+	for i, k := range keys {
+		run[i] = sg.Edge{From: model.TxID{Cycle: model.Cycle(k >> 32), Seq: uint32(k)}, To: to}
+	}
+	return true
 }
 
 // mergeEdges k-way-merges the partitions' sorted edge lists into the

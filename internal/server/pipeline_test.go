@@ -169,6 +169,92 @@ func TestPipelineEmptyAndDegenerateBatches(t *testing.T) {
 	}
 }
 
+// readHeavyTxs builds a batch in which reader sets grow long before a
+// write flushes them: every transaction reads a few of dbSize items, and
+// about one in eight also writes one. Each write turns the item's pending
+// readers into rw edges to the writer, so per-To runs exceed the
+// insertion-sort cutoff and take the long-run sort.
+func readHeavyTxs(seed int64, n, dbSize int) []model.ServerTx {
+	rng := rand.New(rand.NewSource(seed))
+	txs := make([]model.ServerTx, n)
+	for i := range txs {
+		var ops []model.Op
+		for r := 0; r < 2+rng.Intn(3); r++ {
+			ops = append(ops, model.Op{Kind: model.OpRead, Item: model.ItemID(rng.Intn(dbSize) + 1)})
+		}
+		if rng.Intn(8) == 0 {
+			ops = append(ops, rw(model.ItemID(rng.Intn(dbSize)+1))...)
+		}
+		txs[i] = model.ServerTx{Ops: ops}
+	}
+	return txs
+}
+
+// longestRun returns the length of the longest per-To run of a canonical
+// edge list, and whether some run that long or longer has a From whose
+// cycle needs more than 32 bits.
+func longestRun(edges []sg.Edge) (longest int, wide bool) {
+	for i := 0; i < len(edges); {
+		j, w := i, false
+		for ; j < len(edges) && edges[j].To == edges[i].To; j++ {
+			w = w || edges[j].From.Cycle >= 1<<32
+		}
+		if j-i > longest {
+			longest = j - i
+		}
+		if j-i > 24 && w {
+			wide = true
+		}
+		i = j
+	}
+	return longest, wide
+}
+
+// TestPipelineLongRunsMatchOracle drives per-To runs longer than the
+// insertion-sort cutoff through both long-run sorts and checks each
+// against the serial oracle: packed uint64 keys while every cycle fits in
+// 32 bits, and the TxID comparator once a run holds a From.Cycle ≥ 2³²
+// (a server restored just below that cycle, so its runs mix both sides).
+func TestPipelineLongRunsMatchOracle(t *testing.T) {
+	const dbSize, txs, cycles = 6, 120, 4
+	for _, start := range []model.Cycle{1, 1<<32 - 2} {
+		for _, workers := range []int{1, 3} {
+			label := fmt.Sprintf("start=%d workers=%d", start, workers)
+			st := mustNew(t, Config{DBSize: dbSize, MaxVersions: 3}).ExportState()
+			st.Cycle = start
+			oracle, err := Restore(Config{DBSize: dbSize, MaxVersions: 3}, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pipe, err := Restore(Config{DBSize: dbSize, MaxVersions: 3, Workers: workers}, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			longest, wide := 0, false
+			for c := 0; c < cycles; c++ {
+				batch := readHeavyTxs(int64(c+1), txs, dbSize)
+				want := oracleCommit(t, oracle, batch)
+				got, err := pipe.CommitAndAdvance(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s cycle %d: logs differ:\noracle:   %+v\npipeline: %+v", label, c, want, got)
+				}
+				assertSameState(t, oracle, pipe, fmt.Sprintf("%s cycle %d", label, c))
+				n, w := longestRun(got.Delta.Edges)
+				longest, wide = max(longest, n), wide || w
+			}
+			if longest <= 24 {
+				t.Fatalf("%s: longest run %d edges; the long-run sort never ran", label, longest)
+			}
+			if wantWide := start > 1; wide != wantWide {
+				t.Fatalf("%s: a long run with a From.Cycle >= 2^32: %v, want %v", label, wide, wantWide)
+			}
+		}
+	}
+}
+
 // TestPipelineValidation pins the error behavior: malformed batches are
 // rejected up front, before any state mutation, with the serial loop's
 // TxID-addressed errors; a negative worker count never builds a server.

@@ -34,14 +34,13 @@ type Config struct {
 	// single-threaded, and a negative count is rejected. The cycle log is byte-identical at every worker
 	// count (the pipeline differential suite pins this).
 	Workers int
-	// Recorder, when non-nil, receives one sg-edge trace event per edge of
-	// each cycle's serialization-graph delta, preceded by one
-	// producer-phase event per pipeline phase. Events are emitted from the
-	// final sorted delta, after all of the cycle's transactions committed,
-	// and phase-event fields are worker-count invariant, so the stream is
-	// identical at every pipeline worker count. Nil means not observed.
-	// Each distinct TxID is rendered to its string once per cycle, not
-	// once per edge endpoint (about 1,900 edges per cycle at U=500).
+	// Recorder, when non-nil, receives four events per cycle: one
+	// producer-phase event per pipeline phase, then one sg-delta event
+	// carrying the size of the cycle's serialization-graph delta. The
+	// edges themselves are not traced: they are in the cycle's log and on
+	// the air. Event fields are worker-count invariant, so the stream is
+	// identical at every pipeline worker count, and recording costs the
+	// same at every batch size. Nil means not observed.
 	Recorder obs.Recorder
 }
 
@@ -108,9 +107,6 @@ type Server struct {
 	plansBuf    []itemPlan
 	arenaBuf    []plannedOp
 	edgeScratch []partitionScratch
-	// txNames memoizes TxID strings while recordDelta renders one cycle's
-	// edge events; it is cleared when the cycle's events are out.
-	txNames map[model.TxID]string
 }
 
 type itemState struct {
@@ -200,38 +196,18 @@ func (s *Server) checkItem(id model.ItemID) error {
 	return nil
 }
 
-// recordDelta emits one sg-edge event per edge of the cycle's final sorted
-// delta. Sorting has already canonicalized the order, so the event stream
-// does not depend on the execution path that produced the log. A cycle's
-// edges share few endpoints (every To is one of the batch's transactions),
-// so each distinct TxID is rendered once and its string reused.
+// recordDelta emits the cycle's one sg-delta event: the number of edges
+// in its final, deduplicated delta.
 func (s *Server) recordDelta(log *CycleLog) {
 	rec := s.cfg.Recorder
 	if rec == nil {
 		return
 	}
-	if s.txNames == nil {
-		s.txNames = make(map[model.TxID]string)
-	}
-	defer clear(s.txNames)
-	for _, e := range log.Delta.Edges {
-		rec.Record(obs.Event{
-			Type: obs.TypeSGEdge,
-			T:    obs.At(log.Cycle, 0),
-			From: s.txName(e.From),
-			To:   s.txName(e.To),
-		})
-	}
-}
-
-// txName returns id's string, rendering it on first use in the cycle.
-func (s *Server) txName(id model.TxID) string {
-	name, ok := s.txNames[id]
-	if !ok {
-		name = id.String()
-		s.txNames[id] = name
-	}
-	return name
+	rec.Record(obs.Event{
+		Type: obs.TypeSGDelta,
+		T:    obs.At(log.Cycle, 0),
+		N:    int64(len(log.Delta.Edges)),
+	})
 }
 
 // trimVersions discards versions that no transaction with span <= S could

@@ -2,11 +2,15 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"bpush/internal/core"
+	"bpush/internal/cyclesource"
 	"bpush/internal/fault"
 	"bpush/internal/obs"
 )
@@ -16,30 +20,58 @@ import (
 // overflow walks, graph pruning) is exercised under both index modes.
 var differentialSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34}
 
-// diffRun executes cfg once and returns its metrics plus the canonical
-// JSONL traces (client and producer streams).
-func diffRun(t *testing.T, cfg Config) (*Metrics, []byte, []byte) {
+// diffRun executes cfg once and returns its metrics, the canonical JSONL
+// traces (client and producer streams) and the frameDigest of every
+// cycle the producer put on the air.
+func diffRun(t *testing.T, cfg Config) (m *Metrics, client, source []byte, frames string) {
 	t.Helper()
 	var cbuf, sbuf bytes.Buffer
 	cw, sw := obs.NewJSONL(&cbuf), obs.NewJSONL(&sbuf)
 	cfg.Recorder = cw
 	cfg.SourceRecorder = sw
-	m, err := Run(cfg)
+	src, err := cfg.NewSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	m, err = runClient(cfg, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cw.Err() != nil || sw.Err() != nil {
 		t.Fatalf("trace write errors: %v / %v", cw.Err(), sw.Err())
 	}
-	return m, cbuf.Bytes(), sbuf.Bytes()
+	return m, cbuf.Bytes(), sbuf.Bytes(), frameDigest(t, src)
+}
+
+// frameDigest is the SHA-256, in hex, over the wire frame of every cycle
+// src has produced, in cycle order and each prefixed with its length.
+// Two runs with equal digests put the same bytes on the air: the same
+// TxIDs, serialization-graph edges in the same order, the same values.
+// It must run before src is closed, since spilled cycles are read back
+// from the durable log.
+func frameDigest(t *testing.T, src *cyclesource.Source) string {
+	t.Helper()
+	h := sha256.New()
+	var n [8]byte
+	for i := 0; i < int(src.Produced()); i++ {
+		_, frame, err := src.GetFrame(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(n[:], uint64(len(frame)))
+		h.Write(n[:])
+		h.Write(frame)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // assertIndexInvisible runs cfg under the shared per-cycle index and again
 // with ForceLocalIndex (every consumer rebuilds its control-info
 // structures from the raw becast) and requires the two executions to be
-// observationally identical: equal Metrics and byte-identical JSONL
-// traces. This is the tentpole's acceptance property — the shared index is
-// an optimization, never a behavior change.
+// observationally identical: equal Metrics, byte-identical JSONL traces
+// and byte-identical frames. The shared index is an optimization, never
+// a behavior change.
 func assertIndexInvisible(t *testing.T, cfg Config) {
 	t.Helper()
 	shared := cfg
@@ -47,8 +79,8 @@ func assertIndexInvisible(t *testing.T, cfg Config) {
 	local := cfg
 	local.ForceLocalIndex = true
 
-	sm, sc, ss := diffRun(t, shared)
-	lm, lc, ls := diffRun(t, local)
+	sm, sc, ss, sf := diffRun(t, shared)
+	lm, lc, ls, lf := diffRun(t, local)
 
 	if !reflect.DeepEqual(sm, lm) {
 		t.Errorf("metrics differ between shared and local index:\nshared: %+v\nlocal:  %+v", sm, lm)
@@ -61,6 +93,9 @@ func assertIndexInvisible(t *testing.T, cfg Config) {
 	}
 	if !bytes.Equal(ss, ls) {
 		t.Errorf("producer traces differ between shared and local index (%d vs %d bytes)", len(ss), len(ls))
+	}
+	if sf != lf {
+		t.Errorf("frames differ between shared and local index: digest %s vs %s", sf, lf)
 	}
 }
 
@@ -150,7 +185,7 @@ func TestSharedIndexDifferentialFleet(t *testing.T) {
 		t.Skip("fleet differential")
 	}
 	const clients = 5
-	run := func(forceLocal bool) ([]Metrics, []byte) {
+	run := func(forceLocal bool) ([]Metrics, []byte, string) {
 		cfg := testConfig(core.KindSGT, 40)
 		cfg.Queries = 40
 		cfg.Warmup = 5
@@ -163,7 +198,12 @@ func TestSharedIndexDifferentialFleet(t *testing.T) {
 			recs[i] = obs.NewJSONL(&bufs[i])
 		}
 		cfg.RecorderFor = func(i int) obs.Recorder { return recs[i] }
-		fm, err := RunFleet(cfg, clients)
+		src, err := cfg.NewSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = src.Close() }()
+		fm, err := runFleet(cfg, src, clients)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,10 +219,10 @@ func TestSharedIndexDifferentialFleet(t *testing.T) {
 		for i, m := range fm.PerClient {
 			perClient[i] = *m
 		}
-		return perClient, out.Bytes()
+		return perClient, out.Bytes(), frameDigest(t, src)
 	}
-	sharedM, sharedT := run(false)
-	localM, localT := run(true)
+	sharedM, sharedT, sharedF := run(false)
+	localM, localT, localF := run(true)
 	if !reflect.DeepEqual(sharedM, localM) {
 		t.Errorf("fleet metrics differ between shared and local index")
 	}
@@ -191,5 +231,8 @@ func TestSharedIndexDifferentialFleet(t *testing.T) {
 	}
 	if !bytes.Equal(sharedT, localT) {
 		t.Errorf("fleet traces differ between shared and local index")
+	}
+	if sharedF != localF {
+		t.Errorf("fleet frames differ between shared and local index")
 	}
 }

@@ -37,8 +37,9 @@ func durPhase1(t *testing.T, cfg Config, stop int) []byte {
 }
 
 // durPhase2 reopens cfg.LogDir and runs the full client workload over
-// the resumed source, returning metrics plus client and producer traces.
-func durPhase2(t *testing.T, cfg Config) (*Metrics, []byte, []byte) {
+// the resumed source, returning metrics, client and producer traces, and
+// the frameDigest of every cycle, the replayed prefix included.
+func durPhase2(t *testing.T, cfg Config) (*Metrics, []byte, []byte, string) {
 	t.Helper()
 	var cbuf, sbuf bytes.Buffer
 	cw, sw := obs.NewJSONL(&cbuf), obs.NewJSONL(&sbuf)
@@ -56,24 +57,24 @@ func durPhase2(t *testing.T, cfg Config) (*Metrics, []byte, []byte) {
 	if cw.Err() != nil || sw.Err() != nil {
 		t.Fatalf("trace write errors: %v / %v", cw.Err(), sw.Err())
 	}
-	return m, cbuf.Bytes(), sbuf.Bytes()
+	return m, cbuf.Bytes(), sbuf.Bytes(), frameDigest(t, src)
 }
 
 // assertRestartEquivalent is satellite 1's core check: a run whose
 // producer was killed after `stop` cycles and restarted from the durable
 // log must be indistinguishable from one that never stopped — equal
-// Metrics, byte-identical client trace, and a producer trace that
-// concatenates across the restart to the uninterrupted stream.
+// Metrics, byte-identical client trace and frames, and a producer trace
+// that concatenates across the restart to the uninterrupted stream.
 func assertRestartEquivalent(t *testing.T, cfg Config, stop int) {
 	t.Helper()
-	um, uc, us := diffRun(t, cfg) // uninterrupted, memory only
+	um, uc, us, uf := diffRun(t, cfg) // uninterrupted, memory only
 
 	dcfg := cfg
 	dcfg.LogDir = t.TempDir()
 	dcfg.MemCycles = 8 // bounded window: phase 2 serves the prefix from disk
 	dcfg.SnapshotEvery = 10
 	trace1 := durPhase1(t, dcfg, stop)
-	dm, dc, trace2 := durPhase2(t, dcfg)
+	dm, dc, trace2, df := durPhase2(t, dcfg)
 
 	if int(dm.Cycles) <= stop {
 		t.Fatalf("client consumed %d cycles; raise Queries or lower stop=%d", dm.Cycles, stop)
@@ -86,6 +87,9 @@ func assertRestartEquivalent(t *testing.T, cfg Config, stop int) {
 	}
 	if !bytes.Equal(uc, dc) {
 		t.Errorf("client traces differ after restart (%d vs %d bytes)", len(uc), len(dc))
+	}
+	if uf != df {
+		t.Errorf("frames differ after restart: digest %s vs %s", uf, df)
 	}
 	joined := append(append([]byte(nil), trace1...), trace2...)
 	if !bytes.Equal(us, joined) {
@@ -128,7 +132,7 @@ func TestDurabilityRestartEquivalence(t *testing.T) {
 
 // TestDurabilityRestartEquivalenceFleet extends restart equivalence to a
 // fleet: every client of the restarted producer must report exactly the
-// metrics and traces of an uninterrupted fleet run.
+// metrics and traces of an uninterrupted fleet run, over the same frames.
 func TestDurabilityRestartEquivalenceFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet restart differential")
@@ -140,28 +144,22 @@ func TestDurabilityRestartEquivalenceFleet(t *testing.T) {
 	base.Check = false
 	base.Parallel = 2
 
-	run := func(cfg Config, resumed bool) ([]Metrics, []byte) {
+	run := func(cfg Config, resumed bool) ([]Metrics, []byte, string) {
 		bufs := make([]bytes.Buffer, clients)
 		recs := make([]*obs.JSONL, clients)
 		for i := range recs {
 			recs[i] = obs.NewJSONL(&bufs[i])
 		}
 		cfg.RecorderFor = func(i int) obs.Recorder { return recs[i] }
-		var fm *FleetMetrics
-		var err error
-		if resumed {
-			src, serr := cfg.NewSource()
-			if serr != nil {
-				t.Fatal(serr)
-			}
-			defer func() { _ = src.Close() }()
-			if got := src.Produced(); got != stop {
-				t.Fatalf("resumed fleet source Produced() = %d, want %d", got, stop)
-			}
-			fm, err = runFleet(cfg, src, clients)
-		} else {
-			fm, err = RunFleet(cfg, clients)
+		src, err := cfg.NewSource()
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer func() { _ = src.Close() }()
+		if got := src.Produced(); resumed && got != stop {
+			t.Fatalf("resumed fleet source Produced() = %d, want %d", got, stop)
+		}
+		fm, err := runFleet(cfg, src, clients)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,17 +175,17 @@ func TestDurabilityRestartEquivalenceFleet(t *testing.T) {
 		for i, m := range fm.PerClient {
 			perClient[i] = *m
 		}
-		return perClient, out.Bytes()
+		return perClient, out.Bytes(), frameDigest(t, src)
 	}
 
-	uM, uT := run(base, false)
+	uM, uT, uF := run(base, false)
 
 	dcfg := base
 	dcfg.LogDir = t.TempDir()
 	dcfg.MemCycles = 8
 	dcfg.SnapshotEvery = 10
 	durPhase1(t, dcfg, stop)
-	dM, dT := run(dcfg, true)
+	dM, dT, dF := run(dcfg, true)
 
 	if !reflect.DeepEqual(uM, dM) {
 		t.Error("fleet metrics differ after restart")
@@ -197,6 +195,9 @@ func TestDurabilityRestartEquivalenceFleet(t *testing.T) {
 	}
 	if !bytes.Equal(uT, dT) {
 		t.Error("fleet traces differ after restart")
+	}
+	if uF != dF {
+		t.Error("fleet frames differ after restart")
 	}
 }
 
@@ -215,12 +216,12 @@ func TestDurabilityOraclePruningInvisible(t *testing.T) {
 		cfg.Warmup = 10
 		cfg.OracleWindow = 8 // tight, so pruning actually happens
 
-		um, uc, us := diffRun(t, cfg)
+		um, uc, us, uf := diffRun(t, cfg)
 
 		pcfg := cfg
 		pcfg.LogDir = t.TempDir()
 		pcfg.MemCycles = 8
-		pm, pc, ps := diffRun(t, pcfg)
+		pm, pc, ps, pf := diffRun(t, pcfg)
 
 		if um.OracleChecked == 0 {
 			t.Fatal("oracle never ran; the pinning run is vacuous")
@@ -230,6 +231,9 @@ func TestDurabilityOraclePruningInvisible(t *testing.T) {
 		}
 		if !bytes.Equal(uc, pc) || !bytes.Equal(us, ps) {
 			t.Fatalf("seed %d: traces differ under pruning", seed)
+		}
+		if uf != pf {
+			t.Fatalf("seed %d: frames differ under pruning", seed)
 		}
 	}
 }

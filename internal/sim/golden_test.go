@@ -14,12 +14,11 @@ import (
 	"bpush/internal/workload"
 )
 
-// TestGoldenBytes pins the bytes the producer emits — a trace with
-// serialization-graph edge events, and a durable log with frames and
-// snapshots — to SHA-256 values captured before the producer's commit,
-// assembly and trace paths were reworked for allocation. Any change to
-// TxID rendering, edge order, version chains on air or snapshot encoding
-// of reader sets moves a hash.
+// TestGoldenBytes pins the bytes the producer emits — the frames and
+// trace of a small SGT run, and a durable log with frames and snapshots —
+// to SHA-256 values captured before the producer's commit, assembly and
+// trace paths were reworked. Any change to the TxIDs on air, edge order,
+// version chains on air or snapshot encoding of reader sets moves a hash.
 func TestGoldenBytes(t *testing.T) {
 	t.Run("sgt-trace", func(t *testing.T) {
 		cfg := traceConfig()
@@ -28,12 +27,18 @@ func TestGoldenBytes(t *testing.T) {
 		cfg.Updates = 100
 		cfg.Queries = 40
 		cfg.Warmup = 10
-		client, source := traceRun(t, cfg)
-		if !bytes.Contains(source, []byte(`"type":"sg-edge"`)) {
-			t.Fatal("producer trace carries no sg-edge events")
+		_, client, source, frames := diffRun(t, cfg)
+		if want := "ed3faa58f41df5c7c4ca248e7ddda1f314a9fd785745415981d0ca50d783e8a1"; frames != want {
+			t.Errorf("frames: sha256 %s, want %s", frames, want)
+		}
+		if !bytes.Contains(source, []byte(`"type":"sg-delta"`)) {
+			t.Fatal("producer trace carries no sg-delta events")
+		}
+		if bytes.Contains(source, []byte(`"type":"sg-edge"`)) {
+			t.Fatal("producer trace carries per-edge sg-edge events")
 		}
 		checkSum(t, "client trace", client, "8f36e57af704f72def409f7cdfff90bc8f39b5b435f82cf55ac9d9e5b6b1f6a0")
-		checkSum(t, "producer trace", source, "4d5dcd08483c8045e5f42168aaaca4d32c363178f821b1df7f3410872d55a571")
+		checkSum(t, "producer trace", source, "6d90464fe182a988e2a93973d23bc46a43910a6e8d26e8df2655d66258cb0f4c")
 	})
 	t.Run("durable-log", func(t *testing.T) {
 		dir := t.TempDir()

@@ -18,8 +18,9 @@ var producerWorkerCounts = []int{1, 2, 4, 8}
 // single-threaded and again at the given worker count and requires the
 // two executions to be observationally identical: equal Metrics and
 // byte-identical JSONL traces on both the client and the producer
-// stream. This is the tentpole's acceptance property — the multi-core
-// commit pipeline is a throughput lever, never a behavior change.
+// stream, and byte-identical frames on the air. This is the acceptance
+// property of the multi-core commit pipeline: a throughput lever, never
+// a behavior change.
 func assertProducerWorkersInvisible(t *testing.T, cfg Config, workers int) {
 	t.Helper()
 	serial := cfg
@@ -27,8 +28,8 @@ func assertProducerWorkersInvisible(t *testing.T, cfg Config, workers int) {
 	parallel := cfg
 	parallel.ProducerWorkers = workers
 
-	sm, sc, ss := diffRun(t, serial)
-	pm, pc, ps := diffRun(t, parallel)
+	sm, sc, ss, sf := diffRun(t, serial)
+	pm, pc, ps, pf := diffRun(t, parallel)
 
 	if !reflect.DeepEqual(sm, pm) {
 		t.Errorf("metrics differ between 1 and %d producer workers:\n1: %+v\n%d: %+v", workers, sm, workers, pm)
@@ -44,6 +45,9 @@ func assertProducerWorkersInvisible(t *testing.T, cfg Config, workers int) {
 	}
 	if !bytes.Equal(ss, ps) {
 		t.Errorf("producer traces differ between 1 and %d producer workers (%d vs %d bytes)", workers, len(ss), len(ps))
+	}
+	if sf != pf {
+		t.Errorf("frames differ between 1 and %d producer workers: digest %s vs %s", workers, sf, pf)
 	}
 }
 
@@ -85,13 +89,14 @@ func TestProducerPipelineDifferential(t *testing.T) {
 
 // TestProducerPipelineDifferentialFleet extends the property to fleets:
 // many clients sharing one pipelined producer must see exactly the
-// metrics and traces of a fleet fed by the single-threaded pipeline.
+// metrics, traces and frames of a fleet fed by the single-threaded
+// pipeline.
 func TestProducerPipelineDifferentialFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet producer differential")
 	}
 	const clients = 5
-	run := func(producerWorkers int) ([]Metrics, []byte) {
+	run := func(producerWorkers int) ([]Metrics, []byte, string) {
 		cfg := testConfig(core.KindSGT, 40)
 		cfg.Queries = 40
 		cfg.Warmup = 5
@@ -104,7 +109,12 @@ func TestProducerPipelineDifferentialFleet(t *testing.T) {
 			recs[i] = obs.NewJSONL(&bufs[i])
 		}
 		cfg.RecorderFor = func(i int) obs.Recorder { return recs[i] }
-		fm, err := RunFleet(cfg, clients)
+		src, err := cfg.NewSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = src.Close() }()
+		fm, err := runFleet(cfg, src, clients)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,11 +130,11 @@ func TestProducerPipelineDifferentialFleet(t *testing.T) {
 		for i, m := range fm.PerClient {
 			perClient[i] = *m
 		}
-		return perClient, out.Bytes()
+		return perClient, out.Bytes(), frameDigest(t, src)
 	}
-	serialM, serialT := run(1)
+	serialM, serialT, serialF := run(1)
 	for _, workers := range []int{4, 8} {
-		pipeM, pipeT := run(workers)
+		pipeM, pipeT, pipeF := run(workers)
 		if !reflect.DeepEqual(serialM, pipeM) {
 			t.Errorf("fleet metrics differ between 1 and %d producer workers", workers)
 		}
@@ -133,6 +143,9 @@ func TestProducerPipelineDifferentialFleet(t *testing.T) {
 		}
 		if !bytes.Equal(serialT, pipeT) {
 			t.Errorf("fleet traces differ between 1 and %d producer workers", workers)
+		}
+		if serialF != pipeF {
+			t.Errorf("fleet frames differ between 1 and %d producer workers", workers)
 		}
 	}
 }
