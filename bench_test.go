@@ -340,8 +340,8 @@ func BenchmarkScalabilityFleet(b *testing.B) {
 }
 
 // BenchmarkProducerPipeline measures the plan/place/execute commit
-// pipeline on a write-heavy cycle batch across worker counts. This is the
-// scaling table BENCH_producer.json records.
+// pipeline on a write-heavy cycle batch across worker counts. It is the
+// repo's only worker-count sweep: go run ./bench runs one worker.
 func BenchmarkProducerPipeline(b *testing.B) {
 	const (
 		dbSize = 2000

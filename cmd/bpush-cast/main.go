@@ -7,12 +7,9 @@
 //
 //	bpush-cast -addr 127.0.0.1:7475 -db 1000 -interval 200ms -versions 4
 //
-// With -load N it becomes a fan-out load harness instead: it attaches N
-// of its own tuners (in-process by default, so descriptor limits don't
-// cap the audience), measures accept/broadcast/eviction throughput, and
-// emits a JSON report:
-//
-//	bpush-cast -load 10000 -load-cycles 20 -load-out BENCH.json
+// With -http and -sample the station measures its own latency tiers into
+// /metricsz; save that snapshot and render it with bpush-inspect lag. The
+// fan-out cost at scale is measured by the repo benchmark (go run ./bench).
 package main
 
 import (
@@ -34,29 +31,19 @@ func main() {
 	}
 }
 
-// cliConfig is everything the flag set describes: the station itself
-// plus the optional load-harness mode.
-type cliConfig struct {
-	Station netcast.StationConfig
-	Load    loadOptions
-}
-
 func run(args []string) error {
 	cfg, err := buildConfig(args)
 	if err != nil {
 		return err
 	}
-	if cfg.Load.Tuners > 0 {
-		return runLoad(cfg)
-	}
-	st, err := netcast.NewStation(cfg.Station)
+	st, err := netcast.NewStation(cfg)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = st.Close() }()
-	fmt.Printf("broadcasting %d items every %v on %s (S=%d)\n", cfg.Station.DBSize, cfg.Station.Interval, st.Addr(), cfg.Station.Versions)
-	if cfg.Station.LogDir != "" {
-		fmt.Printf("durable cycle log in %s: resuming at cycle %d\n", cfg.Station.LogDir, st.Source().Produced()+1)
+	fmt.Printf("broadcasting %d items every %v on %s (S=%d)\n", cfg.DBSize, cfg.Interval, st.Addr(), cfg.Versions)
+	if cfg.LogDir != "" {
+		fmt.Printf("durable cycle log in %s: resuming at cycle %d\n", cfg.LogDir, st.Source().Produced()+1)
 	}
 	if a := st.MetricsAddr(); a != "" {
 		fmt.Printf("metrics on http://%s/metricsz, status on http://%s/statusz, trace on http://%s/tracez\n", a, a, a)
@@ -78,8 +65,8 @@ func run(args []string) error {
 	}
 }
 
-// buildConfig parses the flags into a station + load configuration.
-func buildConfig(args []string) (cliConfig, error) {
+// buildConfig parses the flags into a station configuration.
+func buildConfig(args []string) (netcast.StationConfig, error) {
 	fs := flag.NewFlagSet("bpush-cast", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:7475", "listen address")
@@ -106,65 +93,43 @@ func buildConfig(args []string) (cliConfig, error) {
 		shards       = fs.Int("shards", 0, "fan-out writer shards (0 = default)")
 		queueLen     = fs.Int("queue", 0, "per-subscriber send-queue bound in frames; overflow evicts (0 = default)")
 		writeTimeout = fs.Duration("write-timeout", 0, "per-subscriber frame write deadline (0 = default)")
-
-		load          = fs.Int("load", 0, "load-harness mode: attach this many tuners, measure, and exit")
-		loadCycles    = fs.Int("load-cycles", 20, "measured broadcast cycles in load mode")
-		loadTransport = fs.String("load-transport", "mem", "load mode subscriber transport: mem (in-process, no descriptors) or tcp")
-		loadOut       = fs.String("load-out", "", "load mode: write the JSON report here (empty = stdout)")
-		loadClients   = fs.Int("load-clients", 3, "load mode: measured scheme clients running real queries (receive/read tiers + staleness)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return cliConfig{}, err
+		return netcast.StationConfig{}, err
 	}
-	sampleSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "sample" {
-			sampleSet = true
-		}
-	})
 	plan, err := fault.ParsePlan(*faultSpec)
 	if err != nil {
-		return cliConfig{}, err
+		return netcast.StationConfig{}, err
 	}
-	return cliConfig{
-		Station: netcast.StationConfig{
-			Addr:     *addr,
-			DBSize:   *dbSize,
-			Versions: *versions,
-			Workload: workload.ServerConfig{
-				DBSize:          *dbSize,
-				UpdateRange:     *updRange,
-				Offset:          *offset,
-				Theta:           *theta,
-				TxPerCycle:      *serverTx,
-				UpdatesPerCycle: *updates,
-				ReadsPerUpdate:  4,
-			},
-			Interval:      *interval,
-			Workers:       *workers,
-			Seed:          *seed,
-			Fault:         plan,
-			FaultSeed:     *faultSeed,
-			HTTPAddr:      *httpAddr,
-			Sample:        *sample,
-			SampleStride:  *stride,
-			Pprof:         *pprofFlag,
-			LogDir:        *logDir,
-			MemCycles:     *memCycles,
-			SnapshotEvery: *snapEvery,
-			Cast: netcast.Config{
-				Shards:       *shards,
-				QueueLen:     *queueLen,
-				WriteTimeout: *writeTimeout,
-			},
+	return netcast.StationConfig{
+		Addr:     *addr,
+		DBSize:   *dbSize,
+		Versions: *versions,
+		Workload: workload.ServerConfig{
+			DBSize:          *dbSize,
+			UpdateRange:     *updRange,
+			Offset:          *offset,
+			Theta:           *theta,
+			TxPerCycle:      *serverTx,
+			UpdatesPerCycle: *updates,
+			ReadsPerUpdate:  4,
 		},
-		Load: loadOptions{
-			Tuners:    *load,
-			Cycles:    *loadCycles,
-			Transport: *loadTransport,
-			Out:       *loadOut,
-			Clients:   *loadClients,
-			SampleSet: sampleSet,
+		Interval:      *interval,
+		Workers:       *workers,
+		Seed:          *seed,
+		Fault:         plan,
+		FaultSeed:     *faultSeed,
+		HTTPAddr:      *httpAddr,
+		Sample:        *sample,
+		SampleStride:  *stride,
+		Pprof:         *pprofFlag,
+		LogDir:        *logDir,
+		MemCycles:     *memCycles,
+		SnapshotEvery: *snapEvery,
+		Cast: netcast.Config{
+			Shards:       *shards,
+			QueueLen:     *queueLen,
+			WriteTimeout: *writeTimeout,
 		},
 	}, nil
 }

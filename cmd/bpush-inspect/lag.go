@@ -15,12 +15,11 @@ import (
 )
 
 // runLag implements the "lag" subcommand: the cross-tier latency and
-// staleness attribution table. It accepts any of the three artifacts the
-// pipeline produces —
+// staleness attribution table. It accepts either artifact the product
+// writes —
 //
-//   - a bpush-cast -load report (its "metrics" key holds the registry
-//     snapshot),
-//   - a bare /metricsz snapshot saved with curl,
+//   - a /metricsz snapshot saved with curl (or marshalled from
+//     Station.Registry().Snapshot()),
 //   - a JSONL event trace (bpush-sim -trace), whose staleness and span
 //     events are folded locally.
 //
@@ -30,7 +29,7 @@ import (
 func runLag(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bpush-inspect lag", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: bpush-inspect lag <load-report.json | metricsz.json | trace.jsonl>")
+		fmt.Fprintln(fs.Output(), "usage: bpush-inspect lag <metricsz.json | trace.jsonl>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -53,23 +52,16 @@ func runLag(args []string, out io.Writer) error {
 	return renderLagTrace(out, events)
 }
 
-// lagSnapshot extracts a registry snapshot from a load report (under
-// "metrics") or from a bare /metricsz document (top-level "histograms").
+// lagSnapshot extracts a registry snapshot from a /metricsz document
+// (top-level "histograms").
 func lagSnapshot(raw []byte) (obs.RegistrySnapshot, bool) {
 	var doc struct {
-		Metrics    *obs.RegistrySnapshot            `json:"metrics"`
 		Histograms map[string]obs.HistogramSnapshot `json:"histograms"`
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.Histograms) == 0 {
 		return obs.RegistrySnapshot{}, false
 	}
-	if doc.Metrics != nil && len(doc.Metrics.Histograms) > 0 {
-		return *doc.Metrics, true
-	}
-	if len(doc.Histograms) > 0 {
-		return obs.RegistrySnapshot{Histograms: doc.Histograms}, true
-	}
-	return obs.RegistrySnapshot{}, false
+	return obs.RegistrySnapshot{Histograms: doc.Histograms}, true
 }
 
 // renderLagSnapshot renders the attribution tables from a registry
@@ -91,7 +83,7 @@ func renderLagSnapshot(out io.Writer, snap obs.RegistrySnapshot) error {
 		rows++
 	}
 	if rows == 0 {
-		fmt.Fprintln(out, "no latency tiers in the snapshot (was the run sampled? bpush-cast -sample / -load)")
+		fmt.Fprintln(out, "no latency tiers in the snapshot (was the run sampled? bpush-cast -sample)")
 	} else {
 		fmt.Fprintln(out, "latency attribution (wall clock, per tier):")
 		fmt.Fprint(out, t.String())

@@ -2,23 +2,29 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"bpush/internal/core"
+	"bpush/internal/netcast"
 	"bpush/internal/obs"
 	"bpush/internal/stats"
+	"bpush/internal/workload"
 )
 
-// writeLagSnapshot builds a registry with every tier populated, wraps it
-// the way a bpush-cast -load report does, and writes it to a temp file.
-func writeLagSnapshot(t *testing.T, wrap string) string {
+// writeLagSnapshot builds a registry with every tier populated and
+// writes its snapshot to a temp file, as curl saves /metricsz.
+func writeLagSnapshot(t *testing.T) string {
 	t.Helper()
 	reg := obs.NewRegistry()
 	nsBounds := []float64{1e3, 1e4, 1e5, 1e6, 1e7}
-	for i, tier := range []string{"span.commit_ns", "span.on_air_ns", "span.receive_ns", "span.read_ns"} {
+	for i, tier := range []string{"span.commit_ns", "span.on_air_ns"} {
 		h := reg.Histogram(tier, nsBounds)
 		for j := 0; j < 10; j++ {
 			h.Observe(float64((i + 1) * (j + 1) * 1500))
@@ -36,60 +42,124 @@ func writeLagSnapshot(t *testing.T, wrap string) string {
 	}
 	reg.Histogram("staleness.multiversion.span_cycles", []float64{0, 1, 2, 4, 8}).Observe(2)
 	reg.Histogram("staleness.multiversion.lag_cycles", []float64{0, 1, 2, 4, 8}).Observe(1)
+	return writeJSON(t, "metricsz.json", reg.Snapshot())
+}
 
-	snap := reg.Snapshot()
-	var doc any
-	switch wrap {
-	case "load-report":
-		doc = map[string]any{"mode": "sharded", "metrics": snap}
-	case "metricsz":
-		doc = snap
-	default:
-		t.Fatalf("unknown wrap %q", wrap)
-	}
+// writeJSON marshals doc into a temp file and returns its path.
+func writeJSON(t *testing.T, name string, doc any) string {
+	t.Helper()
 	raw, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), wrap+".json")
+	path := filepath.Join(t.TempDir(), name)
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// TestLagSubcommandSnapshots: both snapshot shapes (load report and bare
-// /metricsz) render the full attribution — every tier in pipeline
-// order, the merged drain tier, queue depth, and per-scheme staleness.
+// tierRows maps each row of lag's tier table to its n column.
+func tierRows(out string) map[string]string {
+	rows := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && slices.Contains(obs.SpanTiers, f[0]) {
+			rows[f[0]] = f[1]
+		}
+	}
+	return rows
+}
+
+// TestLagSubcommandSnapshots: a /metricsz snapshot renders the full
+// attribution — every tier in pipeline order, the merged drain tier,
+// queue depth, and per-scheme staleness.
 func TestLagSubcommandSnapshots(t *testing.T) {
-	for _, wrap := range []string{"load-report", "metricsz"} {
-		t.Run(wrap, func(t *testing.T) {
-			path := writeLagSnapshot(t, wrap)
-			var out strings.Builder
-			if err := run([]string{"lag", path}, &out); err != nil {
-				t.Fatal(err)
+	t.Run("metricsz", func(t *testing.T) {
+		path := writeLagSnapshot(t)
+		var out strings.Builder
+		if err := run([]string{"lag", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		got := out.String()
+		for _, want := range []string{
+			"latency attribution", "commit", "on-air", "drain",
+			"queue depth", "staleness by scheme", "multiversion",
+		} {
+			if !strings.Contains(got, want) {
+				t.Errorf("lag output missing %q:\n%s", want, got)
 			}
-			got := out.String()
-			for _, want := range []string{
-				"latency attribution", "commit", "on-air", "drain", "receive", "read",
-				"queue depth", "staleness by scheme", "multiversion",
-			} {
-				if !strings.Contains(got, want) {
-					t.Errorf("lag output missing %q:\n%s", want, got)
-				}
+		}
+		if i, j, k := strings.Index(got, "commit"), strings.Index(got, "on-air"), strings.Index(got, "drain"); i > j || j > k {
+			t.Errorf("tiers out of pipeline order:\n%s", got)
+		}
+		// The drain tier merges both shards: n=4.
+		if n := tierRows(got)[obs.SpanDrain]; n != "4" {
+			t.Errorf("drain row n = %q, want 4 (both shards merged):\n%s", n, got)
+		}
+	})
+}
+
+// TestLagFromStationSnapshot runs lag on the snapshot a live sampled
+// station writes: a few manual ticks to one draining in-process
+// subscriber, then Registry().Snapshot() marshalled the way /metricsz
+// serves it. Each per-cycle tier carries exactly one sample per tick.
+func TestLagFromStationSnapshot(t *testing.T) {
+	st, err := netcast.NewStation(netcast.StationConfig{
+		Addr:     "127.0.0.1:0",
+		DBSize:   50,
+		Versions: 2,
+		Workload: workload.ServerConfig{
+			DBSize: 50, UpdateRange: 25, Theta: 0.95,
+			TxPerCycle: 2, UpdatesPerCycle: 4, ReadsPerUpdate: 2,
+		},
+		Seed:   3,
+		Sample: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = st.Close() }()
+	conn, err := st.Cast().SubscribeLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	go func() { _, _ = io.Copy(io.Discard, conn) }()
+
+	const ticks = 4
+	for i := 0; i < ticks; i++ {
+		if err := st.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A shard writer observes a frame's drain latency just after the
+	// write, so wait for the samples rather than for the queue.
+	drained := func(snap obs.RegistrySnapshot) uint64 {
+		var n uint64
+		for name, h := range snap.Histograms {
+			if strings.HasPrefix(name, "net.shard.") && strings.HasSuffix(name, ".drain_ns") {
+				n += h.Count
 			}
-			// The drain tier merges both shards: n=4.
-			if !strings.Contains(got, "drain") {
-				t.Fatalf("no drain row:\n%s", got)
-			}
-			for _, line := range strings.Split(got, "\n") {
-				if strings.HasPrefix(strings.TrimSpace(line), "drain") {
-					if !strings.Contains(line, "4") {
-						t.Errorf("drain row does not merge both shards: %q", line)
-					}
-				}
-			}
-		})
+		}
+		return n
+	}
+	snap := st.Registry().Snapshot()
+	for deadline := time.Now().Add(5 * time.Second); drained(snap) < ticks; snap = st.Registry().Snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatalf("drain samples = %d after 5s, want %d", drained(snap), ticks)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	var out strings.Builder
+	if err := run([]string{"lag", writeJSON(t, "metricsz.json", snap)}, &out); err != nil {
+		t.Fatal(err)
+	}
+	rows := tierRows(out.String())
+	for _, tier := range []string{obs.SpanCommit, obs.SpanOnAir, obs.SpanDrain} {
+		if n := rows[tier]; n != strconv.Itoa(ticks) {
+			t.Errorf("%s row n = %q, want %d:\n%s", tier, n, ticks, out.String())
+		}
 	}
 }
 
@@ -148,58 +218,5 @@ func TestLagSubcommandErrors(t *testing.T) {
 	}
 	if err := run([]string{"lag", junk}, &out); err == nil {
 		t.Error("junk input accepted")
-	}
-}
-
-// TestBenchSubcommand aggregates two synthetic BENCH files and checks
-// provenance order and the delta column.
-func TestBenchSubcommand(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("BENCH_netcast.json", `{"scaling_summary": {"on_air_ns": 1000}, "note": "text ignored"}`)
-	write("BENCH_latency.json", `{"scaling_summary": {"on_air_ns": 900}, "overhead_pct": 1.5}`)
-	var out strings.Builder
-	if err := run([]string{"bench", dir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"benchmark trajectory", "scaling_summary.on_air_ns", "overhead_pct", "BENCH_netcast", "BENCH_latency", "-10.0%"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("bench output missing %q:\n%s", want, got)
-		}
-	}
-	// PR 7 (netcast) must precede PR 9 (latency) so the delta is 9-vs-7.
-	if strings.Index(got, "BENCH_netcast") > strings.Index(got, "BENCH_latency") {
-		t.Errorf("provenance order wrong:\n%s", got)
-	}
-	if strings.Contains(got, "note") {
-		t.Errorf("non-numeric leaf rendered:\n%s", got)
-	}
-}
-
-// TestBenchSubcommandRepo runs bench over the real repo BENCH files —
-// the CI smoke step.
-func TestBenchSubcommandRepo(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"bench", "../.."}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "BENCH_fleet") {
-		t.Errorf("repo bench report missing BENCH_fleet:\n%s", out.String())
-	}
-}
-
-func TestBenchSubcommandErrors(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"bench", t.TempDir()}, &out); err == nil {
-		t.Error("directory without BENCH files accepted")
-	}
-	if err := run([]string{"bench", "a", "b"}, &out); err == nil {
-		t.Error("two directories accepted")
 	}
 }

@@ -7,16 +7,14 @@
 //	bpush-inspect -db 20 -versions 3 -updates 4 -cycles 5
 //	bpush-inspect -sizing -updates 50 -span 3
 //	bpush-inspect trace run.jsonl
-//	bpush-inspect lag load-report.json
-//	bpush-inspect bench .
+//	bpush-inspect lag metricsz.json
 //
 // The trace subcommand renders a JSONL event trace (written by the obs
 // package's JSONL sink, e.g. via bpush-sim -trace): per-method summaries,
 // read-source and abort breakdowns, span/latency quantiles, and an abort
 // timeline. The lag subcommand renders the cross-tier latency and
-// staleness attribution from a bpush-cast -load report, a saved /metricsz
-// snapshot, or a JSONL trace. The bench subcommand aggregates the repo's
-// BENCH_*.json files into one trajectory report.
+// staleness attribution from a /metricsz snapshot saved off a sampled
+// station (bpush-cast -http -sample) or from a JSONL trace.
 package main
 
 import (
@@ -45,8 +43,6 @@ func run(args []string, out io.Writer) error {
 			return runTrace(args[1:], out)
 		case "lag":
 			return runLag(args[1:], out)
-		case "bench":
-			return runBench(args[1:], out)
 		}
 	}
 	fs := flag.NewFlagSet("bpush-inspect", flag.ContinueOnError)

@@ -242,7 +242,7 @@ func TestRegRecorderSteadyStateAllocs(t *testing.T) {
 		{Type: obs.TypeProducerPhase, Reason: obs.PhasePlan, N: 50, Slots: 480},
 		{Type: obs.TypeProducerPhase, Reason: obs.PhaseExecute, N: 1918},
 		{Type: obs.TypeSpan, Reason: obs.SpanCommit, N: 900_000},
-		{Type: obs.TypeSpan, Reason: obs.SpanRead, N: 4_000},
+		{Type: obs.TypeSpan, Reason: obs.SpanOnAir, N: 4_000},
 		{Type: obs.TypeFault, Reason: "drop"},
 		{Type: obs.TypeStaleness, Method: "sgt", Ser: 3, Cycles: 2, Span: 1, N: 1},
 		{Type: obs.TypeStaleness, Method: "mv", Ser: 3, Cycles: 1},

@@ -10,10 +10,11 @@ import (
 )
 
 // memconn is an in-process net.Conn pair backed by bounded byte buffers —
-// a loopback socket without the file descriptor. The load harness uses it
-// to attach thousands of in-process tuners to a broadcaster (10k TCP
-// subscribers would need 20k descriptors); tests use it for deterministic
-// subscriber behavior without kernel buffer tuning.
+// a loopback socket without the file descriptor. SubscribeLocal uses it
+// to attach in-process tuners to a broadcaster (the repo benchmark's
+// fan-out audience; 10k TCP subscribers would need 20k descriptors);
+// tests use it for deterministic subscriber behavior without kernel
+// buffer tuning.
 //
 // Semantics mirror TCP closely enough for the broadcaster and tuner:
 // writes block while the peer's receive buffer is full (honoring write

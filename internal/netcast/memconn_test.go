@@ -9,9 +9,10 @@ import (
 	"time"
 )
 
-// memconn carries the load harness's 10k in-process tuners, so its
-// net.Conn semantics — blocking, deadlines, close behavior — are pinned
-// here against what the broadcaster and tuner actually rely on.
+// memconn carries every SubscribeLocal tuner, including the benchmark's
+// fan-out audience, so its net.Conn semantics — blocking, deadlines,
+// close behavior — are pinned here against what the broadcaster and
+// tuner actually rely on.
 
 func TestMemConnRoundTrip(t *testing.T) {
 	a, b := newMemConnPair()

@@ -53,11 +53,6 @@ type Config struct {
 	// WriteTimeout bounds a single frame write; a write that exceeds it
 	// drops the subscriber. Zero means DefaultWriteTimeout.
 	WriteTimeout time.Duration
-	// LocalBufSize is the server-to-client buffer capacity of
-	// SubscribeLocal connections. Zero means a socket-sized 64 KiB; the
-	// load harness shrinks it so ten thousand in-process tuners fit in
-	// memory.
-	LocalBufSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -69,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = DefaultWriteTimeout
-	}
-	if c.LocalBufSize <= 0 {
-		c.LocalBufSize = memBufSize
 	}
 	return c
 }
@@ -258,14 +250,14 @@ func (b *Broadcaster) acceptLoop() {
 }
 
 // SubscribeLocal attaches an in-process subscriber and returns the
-// client end of the connection — a tuner without a socket. The load
-// harness uses it to drive thousands of tuners past the descriptor
-// limit; the returned conn behaves like a dialed TCP conn (including
-// being closed when the subscriber is evicted).
+// client end of the connection — a tuner without a socket, so an
+// audience of thousands needs no file descriptors. The returned conn
+// behaves like a dialed TCP conn (including being closed when the
+// subscriber is evicted), with a socket-sized 64 KiB receive buffer.
 func (b *Broadcaster) SubscribeLocal() (net.Conn, error) {
 	// Clients have nothing to send in a push system, so the
 	// client-to-server direction gets a token buffer.
-	server, client := newMemConnPairSized(b.cfg.LocalBufSize, 256)
+	server, client := newMemConnPairSized(memBufSize, 256)
 	if !b.attach(server) {
 		_ = client.Close()
 		return nil, fmt.Errorf("netcast: broadcaster closed")
@@ -596,9 +588,9 @@ func Tune(conn net.Conn) *Tuner {
 	return TuneBuffered(conn, 1<<16)
 }
 
-// TuneBuffered is Tune with a caller-sized read buffer. The load
-// harness attaches thousands of in-process tuners and cannot afford the
-// default 64 KiB each.
+// TuneBuffered is Tune with a caller-sized read buffer, for callers
+// that attach thousands of in-process tuners and size each one's buffer
+// themselves.
 func TuneBuffered(conn net.Conn, size int) *Tuner {
 	return &Tuner{conn: conn, r: bufio.NewReaderSize(conn, size)}
 }

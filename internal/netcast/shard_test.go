@@ -8,12 +8,15 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bpush/internal/model"
 )
 
 // The head-of-line suite pins the property the paper's push model
 // promises: one slow reader must never stall delivery to everyone else. Stalls are injected
 // deterministically through the broadcaster's writeFrame seam, so no
-// kernel socket-buffer tuning is involved.
+// kernel socket-buffer tuning is involved (the one socket-level case,
+// TestQueueOverflowEvicts/stalled-tcp-audience, only asserts counts).
 
 // seqFrame returns the test's 8-byte frame carrying a sequence number.
 func seqFrame(i uint64) []byte {
@@ -191,62 +194,117 @@ func TestSameShardStallBoundedByDeadline(t *testing.T) {
 // TestQueueOverflowEvicts pins the bounded-queue contract: a subscriber
 // that cannot drain is evicted the moment a broadcast finds its queue
 // full, its connection is closed, and the eviction is counted — the
-// broadcast path itself never blocks.
+// broadcast path itself never blocks. The first case wedges one writer
+// deterministically; the second stalls a whole station audience over
+// real sockets.
 func TestQueueOverflowEvicts(t *testing.T) {
-	const queueLen = 2
-	b, err := ListenConfig("127.0.0.1:0", Config{Shards: 1, QueueLen: queueLen})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = b.Close() }()
-	release := make(chan struct{})
-	defer close(release)
-	m := newStallMatcher()
-	var entered sync.Once
-	wedged := make(chan struct{}) // closed when the writer enters the stall
-	b.writeFrame = func(c net.Conn, timeout time.Duration, f Frame) (int, error) {
-		if m.matches(c) {
-			entered.Do(func() { close(wedged) })
-			<-release
-			return 0, net.ErrClosed
-		}
-		return deadlineWrite(c, timeout, f)
-	}
-
-	stalled, err := net.Dial("tcp", b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = stalled.Close() }()
-	m.stall(stalled.LocalAddr())
-	waitFor(t, func() bool { return b.Subscribers() == 1 })
-
-	// Frame 1 wedges in the writer; the queue absorbs queueLen more;
-	// the next broadcast overflows and evicts.
-	for i := uint64(1); i <= queueLen+2; i++ {
-		if err := b.Broadcast(NewFrame(seqFrame(i))); err != nil {
+	t.Run("wedged-writer", func(t *testing.T) {
+		const queueLen = 2
+		b, err := ListenConfig("127.0.0.1:0", Config{Shards: 1, QueueLen: queueLen})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 1 {
-			// Wait until the shard writer has dequeued frame 1 and is
-			// wedged mid-write, so the overflow count is deterministic.
-			<-wedged
+		defer func() { _ = b.Close() }()
+		release := make(chan struct{})
+		defer close(release)
+		m := newStallMatcher()
+		var entered sync.Once
+		wedged := make(chan struct{}) // closed when the writer enters the stall
+		b.writeFrame = func(c net.Conn, timeout time.Duration, f Frame) (int, error) {
+			if m.matches(c) {
+				entered.Do(func() { close(wedged) })
+				<-release
+				return 0, net.ErrClosed
+			}
+			return deadlineWrite(c, timeout, f)
 		}
-	}
-	waitFor(t, func() bool { return b.Traffic().Evictions == 1 })
-	if n := b.Subscribers(); n != 0 {
-		t.Errorf("evicted subscriber still registered: %d", n)
-	}
-	shards := b.Shards()
-	if shards[0].Evictions != 1 {
-		t.Errorf("shard 0 evictions = %d, want 1", shards[0].Evictions)
-	}
-	// The evicted subscriber's connection is closed server-side.
-	_ = stalled.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 1)
-	if _, err := stalled.Read(buf); err == nil {
-		t.Error("evicted subscriber's connection still open")
-	}
+
+		stalled, err := net.Dial("tcp", b.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = stalled.Close() }()
+		m.stall(stalled.LocalAddr())
+		waitFor(t, func() bool { return b.Subscribers() == 1 })
+
+		// Frame 1 wedges in the writer; the queue absorbs queueLen more;
+		// the next broadcast overflows and evicts.
+		for i := uint64(1); i <= queueLen+2; i++ {
+			if err := b.Broadcast(NewFrame(seqFrame(i))); err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 {
+				// Wait until the shard writer has dequeued frame 1 and is
+				// wedged mid-write, so the overflow count is deterministic.
+				<-wedged
+			}
+		}
+		waitFor(t, func() bool { return b.Traffic().Evictions == 1 })
+		if n := b.Subscribers(); n != 0 {
+			t.Errorf("evicted subscriber still registered: %d", n)
+		}
+		shards := b.Shards()
+		if shards[0].Evictions != 1 {
+			t.Errorf("shard 0 evictions = %d, want 1", shards[0].Evictions)
+		}
+		// The evicted subscriber's connection is closed server-side.
+		_ = stalled.SetReadDeadline(time.Now().Add(2 * time.Second))
+		buf := make([]byte, 1)
+		if _, err := stalled.Read(buf); err == nil {
+			t.Error("evicted subscriber's connection still open")
+		}
+	})
+
+	// An audience that heard every cycle and then stops reading is swept
+	// off entirely by queue-overflow evictions, never by write-timeout
+	// drops: kernel buffers fill, each queue fills behind them, and the
+	// next broadcast evicts.
+	t.Run("stalled-tcp-audience", func(t *testing.T) {
+		const subs, cycles = 8, 3
+		st := equivStation(t, Config{QueueLen: 4})
+		tuners := make([]*Tuner, subs)
+		for i := range tuners {
+			tn, err := Dial(st.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tn.Close()
+			tuners[i] = tn
+		}
+		waitFor(t, func() bool { return st.Subscribers() == subs })
+		for c := 0; c < cycles; c++ {
+			if err := st.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, tn := range tuners {
+			for want := model.Cycle(1); want <= cycles; want++ {
+				b, err := tn.Next()
+				if err != nil {
+					t.Fatalf("tuner %d: %v", i, err)
+				}
+				if b.Cycle != want {
+					t.Fatalf("tuner %d heard %v, want %v", i, b.Cycle, want)
+				}
+			}
+		}
+		bc := st.Cast()
+		waitFor(t, func() bool { return bc.Traffic().FramesSent == subs*cycles })
+
+		// Nobody reads from here on.
+		deadline := time.Now().Add(30 * time.Second)
+		for st.Subscribers() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("eviction sweep stalled: %d subscribers left", st.Subscribers())
+			}
+			if err := st.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tr := bc.Traffic(); tr.Evictions != subs || tr.Drops != 0 {
+			t.Errorf("evictions = %d, drops = %d; want %d and 0", tr.Evictions, tr.Drops, subs)
+		}
+	})
 }
 
 // TestSubscribeLocal attaches an in-process subscriber (no socket, no

@@ -90,9 +90,9 @@ type StationConfig struct {
 // DefaultSampleStride is the lag-sampling subscriber stride when
 // StationConfig.SampleStride is zero: at 10k subscribers roughly 150
 // clock reads and histogram observations per broadcast — plenty for
-// stable quantiles while keeping the measured sampling overhead inside
-// run-to-run noise on both the on-air walk and the writer drain path
-// (BENCH_latency.json A/B).
+// stable quantiles while keeping the sampling overhead inside run-to-run
+// noise on both the on-air walk and the writer drain path, as an A/B of
+// sampled against unsampled 10k-tuner runs showed.
 const DefaultSampleStride = 64
 
 // Station periodically takes the next cycle from a shared cyclesource
@@ -128,7 +128,7 @@ type Station struct {
 // bpush-lint's deterministic scope (every obs.Recorder implementation
 // does), and span events already carry their nanosecond measurements from
 // the emitting tier's sampler. It is safe for concurrent use: the
-// producer and every load client share one.
+// producer and every ClientRecorder user share one.
 type regRecorder struct {
 	reg *obs.Registry
 	mu  sync.Mutex
@@ -366,8 +366,8 @@ func (s *Station) Addr() string { return s.bc.Addr() }
 func (s *Station) Subscribers() int { return s.bc.Subscribers() }
 
 // Cast returns the station's broadcaster — the fan-out tier the
-// subscribers are attached to. The load harness uses it to subscribe
-// in-process tuners directly.
+// subscribers are attached to, e.g. to subscribe in-process tuners
+// directly with SubscribeLocal.
 func (s *Station) Cast() *Broadcaster { return s.bc }
 
 // Source returns the station's cycle producer, e.g. to attach in-process
@@ -444,8 +444,8 @@ func (s *Station) run() {
 // an undeclared gap. With StationConfig.Sample the tick is measured into
 // span.* histograms: commit covers production (commit pipeline, becast
 // assembly, the encode and the durable append), on-air the mangling and
-// the sharded fan-out enqueue. Receive and read are measured downstream
-// by tuners and clients; the drain tier is the broadcaster's SampleLag.
+// the sharded fan-out enqueue; the drain tier is the broadcaster's
+// SampleLag.
 func (s *Station) Tick() error {
 	var t0 int64
 	if s.clock != nil {
@@ -497,7 +497,7 @@ func (s *Station) recordSpan(c model.Cycle, tier string, ns int64) {
 }
 
 // ClientRecorder returns a recorder that folds client-side scheme events
-// into the station's metric registry — measured load clients attach it so
+// into the station's metric registry — in-process clients attach it so
 // their per-read staleness events land in the same /metricsz snapshot as
 // the producer's tiers. It bypasses the trace ring: /tracez stays a
 // producer-side view instead of an interleaving of every client.

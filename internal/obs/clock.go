@@ -18,8 +18,8 @@ type Sampler func() int64
 
 // WallSampler returns the process wall-clock sampler. This function is
 // the single allowed clock entry point of the observability layer; call
-// it once at wiring time (station construction, load harness startup)
-// and pass the Sampler down.
+// it once at wiring time (station construction) and pass the Sampler
+// down.
 func WallSampler() Sampler {
 	return func() int64 { return time.Now().UnixNano() }
 }

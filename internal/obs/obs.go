@@ -17,7 +17,7 @@
 //
 // Recorders may be nil at every instrumentation site ("not observed",
 // zero cost beyond a nil check); Nop is the explicit do-nothing sink whose
-// attached overhead is benchmarked and gated (BENCH_obs.json).
+// attached overhead is benchmarked (BenchmarkNopRecorder* in internal/sim).
 package obs
 
 import "bpush/internal/model"
@@ -104,16 +104,16 @@ const (
 	// stream is invariant under the pipeline's worker count.
 	TypeProducerPhase Type = "producer-phase"
 	// TypeSpan is one tier of the live pipeline's latency attribution:
-	// Reason names the tier (SpanCommit ... SpanRead) and N carries the
+	// Reason names the tier (SpanRestore ... SpanDrain) and N carries the
 	// measured duration in nanoseconds, stamped at (cycle, 0). Span
-	// events exist only in the wall-clocked netcast tier — the station's
-	// tick loop, shard writers, tuners, and measured clients — never in
-	// the simulator, whose causal spans are already carried by the
-	// virtual-timed events (producer-phase = commit, cycle-begin/end =
-	// on-air, read/staleness = consume). The nanosecond values come
-	// exclusively through a Sampler (see WallSampler), so everything
-	// downstream of the emitting site handles opaque int64s and stays in
-	// bpush-lint's deterministic scope.
+	// events exist only in the wall-clocked netcast station — its restore
+	// and tick loop (the drain tier is a histogram the shard writers feed
+	// directly) — never in the simulator, whose causal spans are already
+	// carried by the virtual-timed events (producer-phase = commit,
+	// cycle-begin/end = on-air, read/staleness = consume). The nanosecond
+	// values come exclusively through a Sampler (see WallSampler), so
+	// everything downstream of the emitting site handles opaque int64s
+	// and stays in bpush-lint's deterministic scope.
 	TypeSpan Type = "span"
 	// TypeStaleness closes the currency accounting of one committed
 	// read: every scheme emits one event per read of a committing
@@ -134,21 +134,19 @@ const (
 // order: durable-log restore (once per station start, when a cycle log
 // is configured), producer commit (which includes the cycle's one wire
 // encode and its durable append), broadcast fan-out (on-air, including
-// any channel-side fault mangling), per-shard queue drain, tuner
-// receive, client read.
+// any channel-side fault mangling), per-shard queue drain. Client-side
+// tiers are not measured: no client code path emits a span.
 const (
 	SpanRestore = "restore"
 	SpanCommit  = "commit"
 	SpanOnAir   = "on-air"
 	SpanDrain   = "drain"
-	SpanReceive = "receive"
-	SpanRead    = "read"
 )
 
 // SpanTiers lists the per-cycle tiers in pipeline order — every span
 // tier but the once-per-start restore. The operator surfaces (/statusz,
 // bpush-inspect lag) render their tier tables in this order.
-var SpanTiers = []string{SpanCommit, SpanOnAir, SpanDrain, SpanReceive, SpanRead}
+var SpanTiers = []string{SpanCommit, SpanOnAir, SpanDrain}
 
 // Producer pipeline phases, the Reason values of TypeProducerPhase.
 const (
@@ -206,8 +204,7 @@ type Recorder interface {
 
 // Nop is the explicit do-nothing Recorder: events are constructed and
 // dispatched, then discarded. Its attached overhead on the hot simulation
-// path is benchmarked (BenchmarkNopRecorder*, BENCH_obs.json) and gated
-// at <= 2%.
+// path is benchmarked (BenchmarkNopRecorder*) against a bar of <= 2%.
 type Nop struct{}
 
 // Record implements Recorder.

@@ -151,8 +151,8 @@ type HistogramSnapshot struct {
 }
 
 // Quantile recomputes the q-quantile exactly from the snapshot's bucket
-// bounds and counts — the round trip a decoded /metricsz snapshot or an
-// embedded load report goes through offline. It returns the same value
+// bounds and counts — the round trip a decoded /metricsz snapshot goes
+// through offline. It returns the same value
 // the live histogram's Quantile would have, or an error when the
 // snapshot's bucket layout is inconsistent.
 func (s HistogramSnapshot) Quantile(q float64) (float64, error) {

@@ -11,12 +11,22 @@ import (
 	"bpush/internal/workload"
 )
 
+// benchFleetConfig is the default operating point at a per-client query
+// budget small enough for testing.B, oracle off (benchmarks measure the
+// pipeline, not the checker).
+func benchFleetConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Queries = 200
+	cfg.Warmup = 20
+	cfg.Scheme = core.Options{Kind: core.KindSGT, CacheSize: 100}
+	return cfg
+}
+
 // benchCleanClient drives one client over a pre-built shared source, with
 // or without a zero-plan fault injector interposed. The pair of benchmarks
 // below measures the cost of merely *attaching* the fault layer on a clean
-// channel — the acceptance bar is <2% (see BENCH_fault.json), because
-// every simulation now routes through the layer's interface whether or not
-// faults are configured.
+// channel — the acceptance bar is <2%, because every simulation routes
+// through the layer's interface whether or not faults are configured.
 func benchCleanClient(b *testing.B, src *cyclesource.Source, cfg Config, attach bool) {
 	b.Helper()
 	ccfg := client.Config{ThinkTime: cfg.ThinkTime}

@@ -17,8 +17,8 @@ import (
 // that discards everything (obs.Nop) versus leaving the path unobserved
 // (nil recorder, every record site gated off). The delta is event
 // construction plus one interface dispatch per event — the price any real
-// sink pays before doing its own work. Acceptance bar is <2%, recorded in
-// BENCH_obs.json, mirroring the fault layer's BENCH_fault.json.
+// sink pays before doing its own work. The acceptance bar is <2%, the
+// same as the fault layer's zero-plan overhead (BenchmarkCleanRun*).
 func benchObservedClient(b *testing.B, src *cyclesource.Source, cfg Config, rec obs.Recorder) {
 	b.Helper()
 	sopts := cfg.Scheme
