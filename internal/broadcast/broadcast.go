@@ -10,13 +10,14 @@
 // With the overflow organization the offset of every item from the start of
 // the becast is fixed, so clients can use a locally stored directory
 // instead of an on-air index; this is the organization implemented here and
-// used by the evaluation. The clustered organization of Figure 2(a) is
-// covered by the analytic size accounting (see sizing.go).
+// used by the evaluation. A Bcast whose data segment is a contiguous run of
+// items (a flat program, an h-interval chunk) finds every slot by that same
+// arithmetic and keeps no slot index. The clustered organization of
+// Figure 2(a) is covered by the analytic size accounting (see sizing.go).
 package broadcast
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"bpush/internal/model"
@@ -35,11 +36,13 @@ type InvalidationEntry struct {
 
 // Entry is one data-segment slot: the current version of an item plus the
 // index of its first older version in the overflow segment (-1 when the
-// item has no older versions on air).
+// item has no older versions on air). The pointer is an int32, as on the
+// wire; it sits beside the item so the two share one 8-byte word and an
+// entry takes 40 bytes.
 type Entry struct {
 	Item     model.ItemID
+	Overflow int32
 	Version  model.Version
-	Overflow int
 }
 
 // OldVersion is one overflow-segment slot.
@@ -56,8 +59,9 @@ type Bcast struct {
 	// Delta is the serialization-graph difference broadcast for SGT.
 	Delta sg.Delta
 	// Entries is the data segment in broadcast order. With a flat
-	// organization entry i carries item i+1; broadcast-disk programs may
-	// repeat hot items.
+	// organization entry i carries item i+1, and an h-interval chunk is a
+	// run of consecutive items; broadcast-disk programs may repeat hot
+	// items and a shuffled program may list items in any order.
 	Entries []Entry
 	// Overflow holds older versions, grouped per item in reverse
 	// chronological order, after the data segment.
@@ -71,8 +75,14 @@ type Bcast struct {
 	// distinguish "not on air this interval" from "no such item".
 	TotalItems int
 
+	// first is the item in slot 0 when the data segment is a contiguous
+	// ascending run (entry i carries item first+i: a flat program or an
+	// h-interval chunk). positions is nil then, and every slot lookup is
+	// the arithmetic item-first, as §3.2's fixed offsets allow.
+	first model.ItemID
 	// positions lists every data-segment slot carrying an item, in
-	// ascending order (broadcast-disk programs repeat hot items).
+	// ascending order; built only for a program that is not a contiguous
+	// run (broadcast-disk repeats, shuffled programs).
 	positions map[model.ItemID][]int
 
 	// sharedIndex holds the once-derived control-info index (see
@@ -135,19 +145,19 @@ func assemble(srv *server.Server, log *server.CycleLog, program Program, require
 	for i, item := range program {
 		b.Entries[i].Item = item
 	}
-	b.positions = indexPositions(b.Entries)
+	b.first, b.positions = indexPositions(b.Entries)
 	for i, item := range program {
 		versions, err := srv.Versions(item)
 		if err != nil {
 			return nil, fmt.Errorf("broadcast: program slot %d: %w", i, err)
 		}
-		off := -1
-		if first := b.positions[item][0]; first < i {
+		off := int32(-1)
+		if first := b.Position(item); first < i {
 			// Repeated slot (broadcast-disk program): point at the
 			// already-emitted group.
 			off = b.Entries[first].Overflow
 		} else if len(versions) > 1 {
-			off = len(b.Overflow)
+			off = int32(len(b.Overflow))
 			// Reverse chronological: newest old version first, so a
 			// client scanning from the pointer stops at the first
 			// version with cycle <= its start cycle.
@@ -158,41 +168,69 @@ func assemble(srv *server.Server, log *server.CycleLog, program Program, require
 		b.Entries[i].Version = versions[len(versions)-1]
 		b.Entries[i].Overflow = off
 	}
-	if requireFull && len(b.positions) != srv.DBSize() {
-		return nil, fmt.Errorf("broadcast: program covers %d of %d items", len(b.positions), srv.DBSize())
+	if requireFull && b.Items() != srv.DBSize() {
+		return nil, fmt.Errorf("broadcast: program covers %d of %d items", b.Items(), srv.DBSize())
 	}
-	if len(b.positions) == 0 {
+	if len(b.Entries) == 0 {
 		return nil, fmt.Errorf("broadcast: empty program")
 	}
 	return b, nil
 }
 
-// indexPositions maps every item to the ascending data-segment slots
-// carrying it. One backing array holds every slot number, and an item's
-// first occurrence is the capped window slots[i:i+1:i+1] into it, so only
-// broadcast-disk repeats (whose append overflows the cap) allocate a slice
-// of their own; a flat program allocates nothing per entry.
-func indexPositions(entries []Entry) map[model.ItemID][]int {
+// indexPositions locates the data-segment slots. When entry i carries item
+// first+i for every i (a flat program, an h-interval chunk) it returns
+// first and a nil map, having allocated nothing: slot lookups are then
+// arithmetic. Otherwise it maps every item to the ascending slots carrying
+// it. One backing array holds every slot number, and an item's first
+// occurrence appends into its own one-slot window of it, so only
+// broadcast-disk repeats allocate a slice of their own.
+func indexPositions(entries []Entry) (model.ItemID, map[model.ItemID][]int) {
+	if contiguous(entries) {
+		if len(entries) == 0 {
+			return 0, nil
+		}
+		return entries[0].Item, nil
+	}
+	//lint:allow hotalloc only a program that is not a contiguous run (broadcast-disk, shuffled) gets here; flat and chunk decodes never do
 	slots := make([]int, len(entries))
+	//lint:allow hotalloc only a program that is not a contiguous run (broadcast-disk, shuffled) gets here; flat and chunk decodes never do
 	positions := make(map[model.ItemID][]int, len(entries))
 	for i, e := range entries {
-		slots[i] = i
-		if ps, ok := positions[e.Item]; ok {
-			positions[e.Item] = append(ps, i)
-		} else {
-			positions[e.Item] = slots[i : i+1 : i+1]
+		ps, ok := positions[e.Item]
+		if !ok {
+			ps = slots[i : i : i+1]
+		}
+		//lint:allow hotalloc fills the map sized above; the append allocates only for a broadcast-disk repeat
+		positions[e.Item] = append(ps, i)
+	}
+	return 0, positions
+}
+
+// contiguous reports whether entry i carries item entries[0].Item+i for
+// every i. The sum is taken in uint64, so a run that would pass
+// math.MaxUint32 and wrap to item 0 is not contiguous.
+func contiguous(entries []Entry) bool {
+	if len(entries) == 0 {
+		return true
+	}
+	first := uint64(entries[0].Item)
+	for i, e := range entries {
+		if uint64(e.Item) != first+uint64(i) {
+			return false
 		}
 	}
-	return positions
+	return true
 }
 
 // New reconstructs a becast from its parts (the wire decoder's entry
-// point). Positions are rebuilt from the entry order. totalItems may be 0,
-// in which case the becast is assumed complete.
+// point). Slot positions follow from the entry order: arithmetic for a
+// contiguous run, a map otherwise. totalItems may be 0, in which case the
+// becast is assumed complete.
 func New(cycle model.Cycle, report []InvalidationEntry, delta sg.Delta, entries []Entry, overflow []OldVersion, numCommitted, totalItems int) (*Bcast, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("broadcast: empty data segment")
 	}
+	//lint:allow hotalloc the becast is the decode's product, retained by its listener for the cycle
 	b := &Bcast{
 		Cycle:        cycle,
 		Report:       report,
@@ -203,19 +241,25 @@ func New(cycle model.Cycle, report []InvalidationEntry, delta sg.Delta, entries 
 		TotalItems:   totalItems,
 	}
 	for i, e := range entries {
-		if e.Overflow >= len(overflow) || e.Overflow < -1 {
+		if int(e.Overflow) >= len(overflow) || e.Overflow < -1 {
 			return nil, fmt.Errorf("broadcast: slot %d overflow pointer %d out of range", i, e.Overflow)
 		}
 	}
-	b.positions = indexPositions(entries)
+	b.first, b.positions = indexPositions(entries)
 	if b.TotalItems == 0 {
-		b.TotalItems = len(b.positions)
+		b.TotalItems = b.Items()
 	}
 	return b, nil
 }
 
 // Position returns the first data-segment slot carrying item, or -1.
 func (b *Bcast) Position(item model.ItemID) int {
+	if b.positions == nil {
+		if item >= b.first && uint64(item-b.first) < uint64(len(b.Entries)) {
+			return int(item - b.first)
+		}
+		return -1
+	}
 	if ps, ok := b.positions[item]; ok {
 		return ps[0]
 	}
@@ -228,6 +272,12 @@ func (b *Bcast) Position(item model.ItemID) int {
 // when still ahead; broadcast-disk programs give hot items several chances
 // per cycle.
 func (b *Bcast) NextPosition(item model.ItemID, pos int) int {
+	if b.positions == nil {
+		if p := b.Position(item); p >= pos {
+			return p
+		}
+		return -1
+	}
 	ps, ok := b.positions[item]
 	if !ok {
 		return -1
@@ -251,13 +301,15 @@ func (b *Bcast) NextPosition(item model.ItemID, pos int) int {
 func (b *Bcast) Len() int { return len(b.Entries) + len(b.Overflow) }
 
 // Items returns the number of distinct items on air.
-func (b *Bcast) Items() int { return len(b.positions) }
+func (b *Bcast) Items() int {
+	if b.positions == nil {
+		return len(b.Entries)
+	}
+	return len(b.positions)
+}
 
 // OnAir reports whether item occupies a data slot this cycle.
-func (b *Bcast) OnAir(item model.ItemID) bool {
-	_, ok := b.positions[item]
-	return ok
-}
+func (b *Bcast) OnAir(item model.ItemID) bool { return b.Position(item) >= 0 }
 
 // InDatabase reports whether item is a valid database item, whether or
 // not it is on air this cycle (h-interval chunks carry a subset).
@@ -281,7 +333,7 @@ func (b *Bcast) OldVersionsOf(item model.ItemID) []OldVersion {
 	if p < 0 {
 		return nil
 	}
-	off := b.Entries[p].Overflow
+	off := int(b.Entries[p].Overflow)
 	if off < 0 {
 		return nil
 	}
@@ -301,13 +353,6 @@ func (b *Bcast) OverflowSlot(i int) int { return len(b.Entries) + i }
 // ReadCurrent returns the current version of an item as broadcast this
 // cycle, for callers that do not model channel timing.
 func (b *Bcast) ReadCurrent(item model.ItemID) (model.Version, error) {
-	// Guess-and-verify fast path: under the flat program item i occupies
-	// data slot i-1, which skips the positions map on the per-read
-	// staleness accounting. Any slot carrying the item works — assemble
-	// stamps every occurrence with the same current version.
-	if p := int(item) - 1; p >= 0 && p < len(b.Entries) && b.Entries[p].Item == item {
-		return b.Entries[p].Version, nil
-	}
 	p := b.Position(item)
 	if p < 0 {
 		return model.Version{}, fmt.Errorf("broadcast: %v not in program", item)
@@ -334,37 +379,4 @@ func (b *Bcast) BestVersionAtOrBefore(item model.ItemID, c0 model.Cycle) (v mode
 		}
 	}
 	return model.Version{}, false, false
-}
-
-// UpdatedItems returns the items of the invalidation report as a set.
-func (b *Bcast) UpdatedItems() map[model.ItemID]model.TxID {
-	out := make(map[model.ItemID]model.TxID, len(b.Report))
-	for _, e := range b.Report {
-		out[e.Item] = e.FirstWriter
-	}
-	return out
-}
-
-// BucketReport maps the item-granularity invalidation report to bucket
-// granularity (§7 extension): it returns the sorted set of bucket numbers
-// (data-segment slot / itemsPerBucket) containing an updated item. A
-// bucket is considered updated if any of its items has been updated.
-func (b *Bcast) BucketReport(itemsPerBucket int) ([]int, error) {
-	if itemsPerBucket <= 0 {
-		return nil, fmt.Errorf("broadcast: itemsPerBucket must be positive, got %d", itemsPerBucket)
-	}
-	set := make(map[int]struct{})
-	for _, e := range b.Report {
-		p := b.Position(e.Item)
-		if p < 0 {
-			continue
-		}
-		set[p/itemsPerBucket] = struct{}{}
-	}
-	out := make([]int, 0, len(set))
-	for bk := range set {
-		out = append(out, bk)
-	}
-	sort.Ints(out)
-	return out, nil
 }

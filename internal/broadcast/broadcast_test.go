@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"testing"
+	"unsafe"
 
 	"bpush/internal/model"
 	"bpush/internal/server"
@@ -256,42 +257,6 @@ func TestEntryAt(t *testing.T) {
 	}
 }
 
-func TestUpdatedItems(t *testing.T) {
-	srv := newServer(t, 5, 1)
-	log := commit(t, srv, 1, 4)
-	b, err := Assemble(srv, log, FlatProgram(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := b.UpdatedItems()
-	if len(set) != 2 {
-		t.Fatalf("UpdatedItems() = %v, want 2 entries", set)
-	}
-	if _, ok := set[1]; !ok {
-		t.Error("item 1 missing from updated set")
-	}
-}
-
-func TestBucketReport(t *testing.T) {
-	srv := newServer(t, 10, 1)
-	log := commit(t, srv, 1, 2, 9)
-	b, err := Assemble(srv, log, FlatProgram(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.BucketReport(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Items 1,2 -> slots 0,1 -> bucket 0; item 9 -> slot 8 -> bucket 1.
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("BucketReport(5) = %v, want [0 1]", got)
-	}
-	if _, err := b.BucketReport(0); err == nil {
-		t.Error("BucketReport(0) succeeded, want error")
-	}
-}
-
 func TestRepeatedProgramSharesOverflowGroup(t *testing.T) {
 	srv := newServer(t, 3, 3)
 	commit(t, srv, 1)
@@ -323,19 +288,18 @@ func TestRepeatedProgramSharesOverflowGroup(t *testing.T) {
 	}
 }
 
-// mapSink keeps reference maps on the heap, where the positions map lives.
-var mapSink map[model.ItemID][]int
-
-// runtimeMapAllocs is what make(map, n) allocates on its own. The runtime
-// splits a large map into fixed-size tables, so that count grows with n
-// whatever the caller does; the pin below subtracts it.
-func runtimeMapAllocs(n int) float64 {
-	return testing.AllocsPerRun(10, func() { mapSink = make(map[model.ItemID][]int, n) })
+// TestEntryIs40Bytes pins the data-segment slot layout: the int32
+// overflow pointer shares a word with the item, so a decoded D-item data
+// segment is 40 B × D.
+func TestEntryIs40Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(Entry{}) = %d, want 40", got)
+	}
 }
 
-// TestNewAllocatesNothingPerEntry pins the flat slot positions: beyond the
-// positions map itself, New allocates the becast and one slot array,
-// whatever D is.
+// TestNewAllocatesNothingPerEntry pins the arithmetic slot positions: for
+// a flat data segment New allocates the becast and nothing else, whatever
+// D is.
 func TestNewAllocatesNothingPerEntry(t *testing.T) {
 	for _, d := range []int{1000, 4000} {
 		entries := make([]Entry, d)
@@ -347,17 +311,17 @@ func TestNewAllocatesNothingPerEntry(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if own := allocs - runtimeMapAllocs(d); own > 2 {
-			t.Errorf("D=%d: New allocates %v objects besides the map, want 2", d, own)
+		if allocs != 1 {
+			t.Errorf("D=%d: New allocates %v objects, want 1 (the becast)", d, allocs)
 		}
 	}
 }
 
 // TestAssembleAllocatesNothingPerItem pins assembly's per-item cost at
 // zero: with every item carrying S = 4 versions, a flat D = 4,000 becast
-// allocates fewer than 25 objects more than a D = 1,000 one. The
-// difference is the positions map's tables and the logarithmic growth of
-// the entry and overflow arrays; reading a version chain copies nothing.
+// allocates at most 8 objects more than a D = 1,000 one. The difference is
+// the logarithmic growth of the overflow array; a flat program builds no
+// positions map, and reading a version chain copies nothing.
 func TestAssembleAllocatesNothingPerItem(t *testing.T) {
 	allocs := func(d int) float64 {
 		srv := newServer(t, d, 4)
@@ -378,7 +342,7 @@ func TestAssembleAllocatesNothingPerItem(t *testing.T) {
 	}
 	small, large := allocs(1000), allocs(4000)
 	t.Logf("Assemble allocs: D=1000 %v, D=4000 %v", small, large)
-	if large-small >= 25 {
-		t.Errorf("Assemble allocates %v objects at D=4000 and %v at D=1000: %v more, want < 25", large, small, large-small)
+	if large-small > 8 {
+		t.Errorf("Assemble allocates %v objects at D=4000 and %v at D=1000: %v more, want <= 8", large, small, large-small)
 	}
 }

@@ -42,7 +42,11 @@ func TestAssembleChunkPartialCoverage(t *testing.T) {
 	}
 	// The report still covers the whole database: item 7 was updated
 	// even though it is not in this chunk.
-	if _, ok := b.UpdatedItems()[7]; !ok {
+	x, err := b.PrimeIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !x.Invalidates(7, 1) {
 		t.Error("report dropped an off-chunk update")
 	}
 }

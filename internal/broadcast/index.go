@@ -247,7 +247,7 @@ func (b *Bcast) OldVersionsIndexed(item model.ItemID) []OldVersion {
 	if p < 0 {
 		return nil
 	}
-	off := b.Entries[p].Overflow
+	off := int(b.Entries[p].Overflow)
 	if off < 0 {
 		return nil
 	}

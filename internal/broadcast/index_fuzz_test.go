@@ -48,7 +48,7 @@ func fuzzBcast(f *fz) (*Bcast, error) {
 		}
 		if f.intn(3) == 0 {
 			group := 1 + f.intn(3)
-			entries[i].Overflow = len(overflow)
+			entries[i].Overflow = int32(len(overflow))
 			for g := 0; g < group; g++ {
 				overflow = append(overflow, OldVersion{
 					Item:    model.ItemID(i + 1),

@@ -94,6 +94,23 @@ func TestCycleIndexReportLookups(t *testing.T) {
 	if _, ok := x.FirstWriter(5); ok {
 		t.Error("FirstWriter(5) found for an unreported item")
 	}
+
+	// An assembled becast: the report holds exactly the committed items.
+	srv := newServer(t, 5, 1)
+	ab, err := Assemble(srv, commit(t, srv, 1, 4), FlatProgram(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ax, err := ab.PrimeIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ax.Ordered(); len(got) != 2 || got[0] != 1 || got[1] != 4 {
+		t.Errorf("assembled Ordered() = %v, want [1 4]", got)
+	}
+	if _, ok := ax.FirstWriter(1); !ok {
+		t.Error("assembled: item 1 has no first writer")
+	}
 }
 
 func TestCycleIndexBucketExpansion(t *testing.T) {
@@ -119,6 +136,28 @@ func TestCycleIndexBucketExpansion(t *testing.T) {
 		want := item <= 8
 		if x.Invalidates(item, 4) != want {
 			t.Errorf("Invalidates(%d, 4) = %v, want %v", item, !want, want)
+		}
+	}
+
+	// An assembled flat becast, granularity 5: items 1, 2 fall in bucket
+	// 0 (slots 0..4), item 9 in bucket 1 (slots 5..9).
+	srv := newServer(t, 10, 1)
+	ab, err := Assemble(srv, commit(t, srv, 1, 2, 9), FlatProgram(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ax, err := ab.PrimeIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = got[:0]
+	ax.EachInvalidated(5, func(it model.ItemID) { got = append(got, it) })
+	if len(got) != 10 {
+		t.Errorf("assembled EachInvalidated(5) = %v, want items 1..10", got)
+	}
+	for item := model.ItemID(1); item <= 11; item++ {
+		if want := item <= 10; ax.Invalidates(item, 5) != want {
+			t.Errorf("assembled Invalidates(%d, 5) = %v, want %v", item, !want, want)
 		}
 	}
 }

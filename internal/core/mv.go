@@ -162,7 +162,7 @@ func (s *mvBroadcast) ServeChannel(item model.ItemID, pos int) (Read, int, error
 	olds := s.oldVersions(item)
 	for i, ov := range olds {
 		if ov.Version.Cycle <= s.t.start {
-			ovSlot := s.cur.OverflowSlot(entry.Overflow + i)
+			ovSlot := s.cur.OverflowSlot(int(entry.Overflow) + i)
 			if ovSlot < pos {
 				return Read{}, 0, ErrNextCycle
 			}

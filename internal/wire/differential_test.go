@@ -60,7 +60,7 @@ func randomBcast(t *testing.T, rng *rand.Rand) *broadcast.Bcast {
 			}
 			group[item] = off
 		}
-		entries[i] = broadcast.Entry{Item: item, Version: version(), Overflow: off}
+		entries[i] = broadcast.Entry{Item: item, Overflow: int32(off), Version: version()}
 	}
 	var report []broadcast.InvalidationEntry
 	for n := rng.Intn(d + 1); n > 0; n-- {

@@ -58,7 +58,7 @@ func oldEncode(b *broadcast.Bcast) ([]byte, error) {
 		w(int64(e.Version.Value))
 		w(uint64(e.Version.Cycle))
 		writeTx(e.Version.Writer)
-		w(int32(e.Overflow))
+		w(e.Overflow)
 	}
 	w(uint32(len(b.Overflow)))
 	for _, ov := range b.Overflow {
@@ -224,7 +224,7 @@ func oldDecode(r io.Reader) (*broadcast.Bcast, error) {
 			Version: model.Version{
 				Value: model.Value(value), Cycle: model.Cycle(verCycle), Writer: writer,
 			},
-			Overflow: int(overflow),
+			Overflow: overflow,
 		})
 	}
 

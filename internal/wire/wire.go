@@ -133,7 +133,7 @@ func Encode(b *broadcast.Bcast) ([]byte, error) {
 	p = be.AppendUint32(p, uint32(len(b.Entries)))
 	for _, e := range b.Entries {
 		p = appendOld(p, e.Item, e.Version)
-		p = be.AppendUint32(p, uint32(int32(e.Overflow)))
+		p = be.AppendUint32(p, uint32(e.Overflow))
 	}
 	p = be.AppendUint32(p, uint32(len(b.Overflow)))
 	for _, ov := range b.Overflow {
@@ -171,6 +171,8 @@ func appendOld(p []byte, item model.ItemID, v model.Version) []byte {
 // channel would couple a subscriber's correctness to bytes the checksum
 // does not cover. Decoded becasts therefore start unindexed and each
 // consumer rebuilds its view locally — identical results either way.
+//
+//lint:hotpath every listener decodes every cycle it hears
 func Decode(r io.Reader) (*broadcast.Bcast, error) {
 	s := source{r: r}
 	if br, ok := r.(*bufio.Reader); ok && br.Size() >= maxElemWidth {
@@ -183,6 +185,8 @@ func Decode(r io.Reader) (*broadcast.Bcast, error) {
 // — the fault layer's entry point for checking whether a damaged frame
 // still passes the checksum, and durlog's for reading a logged cycle.
 // Trailing bytes beyond the frame are ignored.
+//
+//lint:hotpath the fault layer and durlog's reads decode whole frames in place, per cycle
 func DecodeBytes(frame []byte) (*broadcast.Bcast, error) {
 	var s source
 	return s.decode(frame)
@@ -275,6 +279,7 @@ func segment[T any](s *source, p []byte, w int, parse func(b []byte, i int) (T, 
 	if err != nil {
 		return nil, err
 	}
+	//lint:allow hotalloc each segment is retained by the decoded becast; the frame's content, not scratch
 	out := make([]T, 0, segCap(n))
 	for len(out) < n {
 		b, err := s.window(p, w, n-len(out))
@@ -287,6 +292,7 @@ func segment[T any](s *source, p []byte, w int, parse func(b []byte, i int) (T, 
 				s.consume(b, at+w)
 				return nil, err
 			}
+			//lint:allow hotalloc grows only past segCap's pre-allocation, for segments over 4,096 elements
 			out = append(out, v)
 		}
 		s.consume(b, len(b))
@@ -378,7 +384,7 @@ func parseEntry(b []byte, i int) (broadcast.Entry, error) {
 	if overflow < -1 {
 		return broadcast.Entry{}, fmt.Errorf("%w: entry %d overflow pointer %d", ErrBadFrame, i, overflow)
 	}
-	return broadcast.Entry{Item: model.ItemID(binary.BigEndian.Uint32(b)), Version: versionAt(b[4:]), Overflow: int(overflow)}, nil
+	return broadcast.Entry{Item: model.ItemID(binary.BigEndian.Uint32(b)), Overflow: overflow, Version: versionAt(b[4:])}, nil
 }
 
 func parseOld(b []byte, _ int) (broadcast.OldVersion, error) {

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"bpush/internal/broadcast"
 	"bpush/internal/model"
@@ -270,17 +272,6 @@ func TestDecodedBecastCarriesNoIndex(t *testing.T) {
 	}
 }
 
-// mapSink keeps reference maps on the heap, where a becast's positions
-// map lives.
-var mapSink map[model.ItemID][]int
-
-// runtimeMapAllocs is what make(map, n) allocates on its own: the runtime
-// splits a large map into fixed-size tables, so that count grows with n
-// whatever the decoder does.
-func runtimeMapAllocs(n int) float64 {
-	return testing.AllocsPerRun(10, func() { mapSink = make(map[model.ItemID][]int, n) })
-}
-
 // pinFrame encodes a D-item becast with a report, a delta and overflow
 // versions.
 func pinFrame(t *testing.T, d int) []byte {
@@ -313,8 +304,9 @@ func pinFrame(t *testing.T, d int) []byte {
 
 // TestCodecAllocations pins the codec's allocation counts so a return to
 // per-field allocation cannot land silently: Encode allocates only the
-// frame, and Decode allocates a fixed handful of objects (the segment
-// slices, the becast, its slot array and positions map) whatever D is.
+// frame, and Decode of a flat becast allocates the five segment slices and
+// the becast, the same count whatever D is (slot positions are arithmetic,
+// so no map or slot array grows with the data segment).
 func TestCodecAllocations(t *testing.T) {
 	frame := pinFrame(t, 1000)
 	b, err := DecodeBytes(frame)
@@ -346,17 +338,49 @@ func TestCodecAllocations(t *testing.T) {
 		})
 		return buffered, inPlace
 	}
-	const limit = 24
+	const want = 6 // report, nodes, edges, entries, overflow, becast
 	small, smallBytes := decodeAllocs(frame)
-	if small > limit || smallBytes > limit {
-		t.Errorf("D=1000: Decode allocates %v objects from a *bufio.Reader and %v in place, want <= %d", small, smallBytes, limit)
-	}
-	// Beyond the runtime's own map tables, D=4000 costs at most 8 more.
 	large, largeBytes := decodeAllocs(pinFrame(t, 4000))
-	tables := runtimeMapAllocs(4000) - runtimeMapAllocs(1000)
-	t.Logf("Decode allocs: D=1000 %v buffered, %v in place; D=4000 %v / %v, %v more map tables", small, smallBytes, large, largeBytes, tables)
-	if large-tables > small+8 || largeBytes-tables > smallBytes+8 {
-		t.Errorf("D=4000: Decode allocates %v / %v objects (%v of them map tables), D=1000 %v / %v: the count grows with D",
-			large, largeBytes, tables, small, smallBytes)
+	t.Logf("Decode allocs: D=1000 %v buffered, %v in place; D=4000 %v / %v", small, smallBytes, large, largeBytes)
+	for _, n := range []float64{small, smallBytes, large, largeBytes} {
+		if n != want {
+			t.Errorf("Decode allocates %v / %v objects at D=1000 and %v / %v at D=4000 (buffered / in place), want %d each",
+				small, smallBytes, large, largeBytes, want)
+			break
+		}
+	}
+}
+
+// TestDecodeBytesPerCall pins what one decode costs in bytes, which is
+// what the collector pays for: DecodeBytes of the D = 1,000 pin frame
+// allocates its segment slices and the becast, plus at most 1 KiB per
+// object of size-class rounding, and nothing else.
+func TestDecodeBytesPerCall(t *testing.T) {
+	frame := pinFrame(t, 1000)
+	b, err := DecodeBytes(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := uintptr(cap(b.Report))*unsafe.Sizeof(broadcast.InvalidationEntry{}) +
+		uintptr(cap(b.Delta.Nodes))*unsafe.Sizeof(model.TxID{}) +
+		uintptr(cap(b.Delta.Edges))*unsafe.Sizeof(sg.Edge{}) +
+		uintptr(cap(b.Entries))*unsafe.Sizeof(broadcast.Entry{}) +
+		uintptr(cap(b.Overflow))*unsafe.Sizeof(broadcast.OldVersion{}) +
+		unsafe.Sizeof(broadcast.Bcast{})
+	limit := uint64(payload) + 6<<10
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := DecodeBytes(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("DecodeBytes D=1000: %d bytes per call, payload %d, limit %d", per, payload, limit)
+	if per > limit {
+		t.Errorf("DecodeBytes allocates %d bytes per call, want <= %d (segments and becast %d + 6 KiB)", per, limit, payload)
 	}
 }
