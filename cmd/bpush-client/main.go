@@ -44,7 +44,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	kind, err := parseScheme(*schemeName)
+	kind, err := core.ParseKind(*schemeName)
 	if err != nil {
 		return err
 	}
@@ -99,21 +99,4 @@ func runQueries(out io.Writer, cl *client.Client, queries, ops int, theta float6
 	}
 	fmt.Fprintf(out, "done: %d/%d committed (%s)\n", committed, queries, cl.Scheme().Name())
 	return nil
-}
-
-func parseScheme(s string) (core.Kind, error) {
-	switch s {
-	case "inv-only":
-		return core.KindInvOnly, nil
-	case "vcache":
-		return core.KindVCache, nil
-	case "multiversion", "mv":
-		return core.KindMVBroadcast, nil
-	case "mv-cache", "mc":
-		return core.KindMVCache, nil
-	case "sgt":
-		return core.KindSGT, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q", s)
-	}
 }

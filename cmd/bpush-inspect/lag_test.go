@@ -132,24 +132,15 @@ func TestLagFromStationSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A shard writer observes a frame's drain latency just after the
-	// write, so wait for the samples rather than for the queue.
-	drained := func(snap obs.RegistrySnapshot) uint64 {
-		var n uint64
-		for name, h := range snap.Histograms {
-			if strings.HasPrefix(name, "net.shard.") && strings.HasSuffix(name, ".drain_ns") {
-				n += h.Count
-			}
-		}
-		return n
-	}
-	snap := st.Registry().Snapshot()
-	for deadline := time.Now().Add(5 * time.Second); drained(snap) < ticks; snap = st.Registry().Snapshot() {
+	// A shard writer records a frame's drain sample before the frame
+	// leaves QueueDepth, so an empty queue means every sample is in.
+	for deadline := time.Now().Add(5 * time.Second); st.Cast().QueueDepth() != 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("drain samples = %d after 5s, want %d", drained(snap), ticks)
+			t.Fatalf("queue depth %d after 5s", st.Cast().QueueDepth())
 		}
 		time.Sleep(time.Millisecond)
 	}
+	snap := st.Registry().Snapshot()
 
 	var out strings.Builder
 	if err := run([]string{"lag", writeJSON(t, "metricsz.json", snap)}, &out); err != nil {

@@ -65,12 +65,11 @@ func run(args []string, out io.Writer) error {
 		memCycles  = fs.Int("mem-cycles", 0, "with -log-dir: keep only the newest N cycles in memory, serving older ones from disk (0 = keep all)")
 		snapEvery  = fs.Int("snapshot-every", 0, "with -log-dir: producer snapshot cadence in cycles (0 = default, negative = disable)")
 		tracePath  = fs.String("trace", "", "write the run's JSONL event trace to this file (inspect with: bpush-inspect trace)")
-		forceLocal = fs.Bool("force-local-index", false, "skip the shared per-cycle index; every client rebuilds its control-info structures locally (results are identical; for differential testing and benchmarks)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	kind, err := parseScheme(*schemeName)
+	kind, err := core.ParseKind(*schemeName)
 	if err != nil {
 		return err
 	}
@@ -102,7 +101,6 @@ func run(args []string, out io.Writer) error {
 	cfg.ProducerWorkers = *prodW
 	cfg.Fault = plan
 	cfg.FaultSeed = *faultSeed
-	cfg.ForceLocalIndex = *forceLocal
 	cfg.LogDir = *logDir
 	cfg.MemCycles = *memCycles
 	cfg.SnapshotEvery = *snapEvery
@@ -230,21 +228,4 @@ func faultNames() string {
 		out += n
 	}
 	return out
-}
-
-func parseScheme(s string) (core.Kind, error) {
-	switch s {
-	case "inv-only":
-		return core.KindInvOnly, nil
-	case "vcache":
-		return core.KindVCache, nil
-	case "multiversion", "mv":
-		return core.KindMVBroadcast, nil
-	case "mv-cache", "mc":
-		return core.KindMVCache, nil
-	case "sgt":
-		return core.KindSGT, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q", s)
-	}
 }

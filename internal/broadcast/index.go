@@ -70,7 +70,7 @@ type bucketView struct {
 // becast's serialization-graph delta is invalid (a commit-order violation,
 // impossible for server-assembled becasts).
 //
-//lint:hotpath index derivation runs every cycle, per client in local-index mode
+//lint:hotpath index derivation runs once per produced cycle, under the production lock
 func NewCycleIndex(b *Bcast) (*CycleIndex, error) {
 	//lint:allow hotalloc the CycleIndex is the cycle's retained shared product; clients may still hold the previous index, so it cannot be recycled
 	x := &CycleIndex{

@@ -245,6 +245,25 @@ func (k Kind) String() string {
 	}
 }
 
+// ParseKind maps a scheme name, as the command-line tools spell it, to
+// its Kind: inv-only, vcache, multiversion (or mv), mv-cache (or mc), sgt.
+func ParseKind(s string) (Kind, error) {
+	switch s {
+	case "inv-only":
+		return KindInvOnly, nil
+	case "vcache":
+		return KindVCache, nil
+	case "multiversion", "mv":
+		return KindMVBroadcast, nil
+	case "mv-cache", "mc":
+		return KindMVCache, nil
+	case "sgt":
+		return KindSGT, nil
+	default:
+		return 0, fmt.Errorf("unknown scheme %q", s)
+	}
+}
+
 // Options configures a scheme.
 type Options struct {
 	// Kind selects the method.
@@ -275,14 +294,6 @@ type Options struct {
 	// cycle aborts the active transaction for every scheme but
 	// MVBroadcast-without-cache.
 	TolerateDisconnects bool
-	// ForceLocalIndex makes the scheme ignore any shared CycleIndex primed
-	// on incoming becasts and rebuild its per-cycle control-info
-	// structures locally, as every client did before the shared index
-	// existed. The two paths are specified to be observationally
-	// identical — same metrics, same traces, byte for byte — which the
-	// sim package's differential suite enforces; the flag exists for that
-	// suite and for benchmarking the per-client rebuild cost.
-	ForceLocalIndex bool
 	// ResyncOnReconnect enables the §5.2.2 resynchronization idea for
 	// the invalidation-only family (KindInvOnly, KindVCache): after a
 	// gap, instead of flushing the cache and aborting, the client scans
@@ -540,9 +551,9 @@ func (v *reportView) firstWriter(item model.ItemID) (model.TxID, bool) {
 // information. When the becast carries a shared CycleIndex (primed once by
 // the cycle producer) the view consumes it read-only — the whole fleet
 // shares one set of derived structures; otherwise (decoded network frames,
-// standalone core usage, Options.ForceLocalIndex) it rebuilds the local
-// reportView, reusing the scheme's scratch buffers. Both paths answer
-// every query identically, in the same deterministic order.
+// standalone core usage) it rebuilds the local reportView, reusing the
+// scheme's scratch buffers. Both paths answer every query identically, in
+// the same deterministic order.
 type cycleView struct {
 	idx         *broadcast.CycleIndex // shared path; nil means local
 	local       reportView
@@ -550,16 +561,11 @@ type cycleView struct {
 }
 
 // load points the view at b's control information for this cycle.
-func (v *cycleView) load(b *broadcast.Bcast, granularity int, forceLocal bool) {
+func (v *cycleView) load(b *broadcast.Bcast, granularity int) {
 	v.granularity = granularity
-	if !forceLocal {
-		if idx := b.SharedIndex(); idx != nil {
-			v.idx = idx
-			return
-		}
+	if v.idx = b.SharedIndex(); v.idx == nil {
+		v.local.reset(b, granularity)
 	}
-	v.idx = nil
-	v.local.reset(b, granularity)
 }
 
 // invalidates reports whether this cycle's report invalidates item.

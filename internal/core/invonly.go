@@ -122,7 +122,7 @@ func (s *invOnly) NewCycle(b *broadcast.Bcast) error {
 		s.prev, s.cur = s.cur, b
 		autoprefetch(s.cache, s.prev)
 	}
-	s.view.load(b, s.opts.BucketGranularity, s.opts.ForceLocalIndex)
+	s.view.load(b, s.opts.BucketGranularity)
 	if s.cache != nil {
 		s.view.each(len(b.Entries), s.invalidate)
 	}

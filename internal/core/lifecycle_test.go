@@ -142,6 +142,35 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+func TestParseKind(t *testing.T) {
+	tests := []struct {
+		give    string
+		want    Kind
+		wantErr bool
+	}{
+		{give: "inv-only", want: KindInvOnly},
+		{give: "vcache", want: KindVCache},
+		{give: "multiversion", want: KindMVBroadcast},
+		{give: "mv", want: KindMVBroadcast},
+		{give: "mv-cache", want: KindMVCache},
+		{give: "mc", want: KindMVCache},
+		{give: "sgt", want: KindSGT},
+		{give: "2pl", wantErr: true},
+		{give: "bogus", wantErr: true},
+		{give: "", wantErr: true},
+	}
+	for _, tt := range tests {
+		got, err := ParseKind(tt.give)
+		if (err != nil) != tt.wantErr {
+			t.Errorf("ParseKind(%q) error = %v, wantErr %v", tt.give, err, tt.wantErr)
+			continue
+		}
+		if err == nil && got != tt.want {
+			t.Errorf("ParseKind(%q) = %v, want %v", tt.give, got, tt.want)
+		}
+	}
+}
+
 func TestReadSourceStrings(t *testing.T) {
 	if SourceCache.String() != "cache" || SourceBroadcast.String() != "broadcast" || SourceOverflow.String() != "overflow" {
 		t.Error("source strings wrong")

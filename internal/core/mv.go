@@ -159,7 +159,7 @@ func (s *mvBroadcast) ServeChannel(item model.ItemID, pos int) (Read, int, error
 	// on the becast the group is located through the precomputed span
 	// table instead of re-scanning the overflow segment per client; both
 	// paths return the identical slice.
-	olds := s.oldVersions(item)
+	olds := s.cur.OldVersionsIndexed(item)
 	for i, ov := range olds {
 		if ov.Version.Cycle <= s.t.start {
 			ovSlot := s.cur.OverflowSlot(int(entry.Overflow) + i)
@@ -171,16 +171,6 @@ func (s *mvBroadcast) ServeChannel(item model.ItemID, pos int) (Read, int, error
 	}
 	s.t.doomed = abortErr("%v has no on-air version at or before %v (span exceeds retained versions)", item, s.t.start)
 	return Read{}, 0, s.t.doomed
-}
-
-// oldVersions returns the item's on-air overflow group, via the shared
-// index's span table when one is primed (and not forced off), or the
-// becast's own pointer walk otherwise.
-func (s *mvBroadcast) oldVersions(item model.ItemID) []broadcast.OldVersion {
-	if s.opts.ForceLocalIndex {
-		return s.cur.OldVersionsOf(item)
-	}
-	return s.cur.OldVersionsIndexed(item)
 }
 
 func (s *mvBroadcast) deliver(item model.ItemID, v model.Version, src ReadSource, slot int) Read {

@@ -114,7 +114,7 @@ func (s *mvCache) NewCycle(b *broadcast.Bcast) error {
 			}
 		}
 	}
-	s.view.load(b, s.opts.BucketGranularity, s.opts.ForceLocalIndex)
+	s.view.load(b, s.opts.BucketGranularity)
 	s.invCycle = b.Cycle
 	s.view.each(len(b.Entries), s.invalidate)
 	if s.t.active && s.t.doomed == nil && s.cu == 0 {

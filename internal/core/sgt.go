@@ -137,7 +137,7 @@ func (s *sgt) NewCycle(b *broadcast.Bcast) error {
 		floor = s.invalidFrom
 	}
 	s.graph.PruneBefore(floor)
-	s.view.load(b, 1, s.opts.ForceLocalIndex) // SGT is defined at item granularity
+	s.view.load(b, 1) // SGT is defined at item granularity
 	if idx := s.view.idx; idx != nil {
 		// Shared path: the delta was validated, deduplicated, and grouped
 		// into adjacency form once, by the producer; integrating it is a

@@ -74,13 +74,6 @@ type Config struct {
 	// divide len(Program).
 	Chunks int
 
-	// DisableIndex skips priming the shared per-cycle CycleIndex on
-	// produced becasts. Consumers then rebuild their control-info
-	// structures locally, as they do for becasts decoded from network
-	// frames; results are identical either way. Used by the differential
-	// suite and benchmarks that measure the per-client rebuild cost.
-	DisableIndex bool
-
 	// Check retains state snapshots and cycle logs so committed queries
 	// can be verified against the archived database states; see Check on
 	// Source. OracleWindow bounds how far back (in cycles, relative to the
@@ -441,14 +434,12 @@ func (s *Source) produce() error {
 	if err != nil {
 		return err
 	}
-	if !s.cfg.DisableIndex {
-		// Derive the shared control-info index exactly once, under the
-		// production lock, before the becast is published to consumers:
-		// every client of the stream then reads the same immutable
-		// structures instead of rebuilding them per client per cycle.
-		if _, err := b.PrimeIndex(); err != nil {
-			return err
-		}
+	// Derive the shared control-info index exactly once, under the
+	// production lock, before the becast is published to consumers:
+	// every client of the stream then reads the same immutable
+	// structures instead of rebuilding them per client per cycle.
+	if _, err := b.PrimeIndex(); err != nil {
+		return err
 	}
 	var frame []byte
 	if s.dlog != nil {
@@ -603,6 +594,16 @@ func (f *Feed) Next() (*broadcast.Bcast, error) {
 		f.lens = append(f.lens, b.Len())
 	}
 	return b, nil
+}
+
+// Frame returns the wire frame of the becast the last Next returned: the
+// bytes a station airs for that cycle (see Source.GetFrame).
+func (f *Feed) Frame() ([]byte, error) {
+	if f.cycles == 0 {
+		return nil, fmt.Errorf("cyclesource: Frame before Next")
+	}
+	_, frame, err := f.src.GetFrame(f.next - 1)
+	return frame, err
 }
 
 // Cycles returns the number of becasts this consumer has taken.

@@ -3,32 +3,37 @@
 // models exactly one failure mode — a client cleanly sleeping through
 // whole cycles — but a real push channel also delivers corrupted,
 // truncated, duplicated, and reordered frames, and suffers burst outages.
-// This package makes those anomalies first-class and reproducible: a Plan
-// names per-cycle fault probabilities, every random decision is drawn from
-// one seeded RNG, and any run is replayable from (seed, plan) alone.
+// A Plan names the per-frame probability of each, one ladder draws every
+// decision from one seeded RNG, and any run replays from (plan, seed)
+// alone.
 //
-// Two interposition points are provided. An Injector wraps a client-side
-// Feed (a cyclesource feed, a tuner) and emits client.Events: faulted
-// frames are pushed through the real wire codec — encoded, damaged,
-// decoded — and a frame the checksum rejects is reported as a *lost
-// cycle*, never as data, exercising the same downgrade-to-miss recovery
-// the disconnection machinery already implements. A Mangler damages raw
-// encoded frames before they go on air (the netcast station's channel-side
-// interposition), where every subscriber shares the damage.
+// The faults damage a cycle's real wire frame, the bytes a station airs,
+// at two interposition points that share the ladder. A Mangler damages
+// the frames a netcast station puts on air, where every subscriber
+// shares the damage. An Injector gives one simulated client the same
+// channel: it runs the ladder over a feed and decodes each frame the
+// ladder damaged, so a frame the checksum rejects reaches the client as a
+// lost cycle, never as data, and the client's downgrade-to-miss recovery
+// absorbs it. With the same plan and seed, the Injector's events are what
+// a tuner decodes from the Mangler's output.
 //
-// A zero Plan is free: the Injector forwards becasts untouched with no
-// RNG draws and no allocations, so a clean run is unchanged. A Plan with
-// only Drop set draws exactly one random number per cycle from the same
-// generator construction the client runtime's DisconnectProb uses, so a
-// drop-only plan with the client's seed reproduces the DisconnectProb
-// schedule byte for byte — the new layer strictly subsumes the old model.
+// A zero Plan is free: the ladder draws nothing and every frame passes
+// untouched. A Plan with only Drop set draws exactly one random number per
+// cycle from the same generator construction the client runtime's
+// DisconnectProb uses, so a drop-only plan with the client's seed
+// reproduces the DisconnectProb schedule byte for byte — the fault layer
+// strictly subsumes the paper's model.
 package fault
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
+
+	"bpush/internal/model"
+	"bpush/internal/obs"
 )
 
 // DefaultBurstLen is the burst outage length used when a Plan enables
@@ -42,17 +47,19 @@ const DefaultBurstLen = 3
 //
 // The per-frame decision order is fixed: burst, drop, corrupt, truncate,
 // duplicate, reorder. A frame consumed by an earlier fault is not offered
-// to later ones.
+// to later ones: a lost, corrupted or truncated frame ends its draws. A
+// duplicated frame may still be reordered, and both copies then arrive
+// late. The frame after a reordered one is swapped ahead with no draws.
 type Plan struct {
 	// Drop loses the whole frame: the cycle goes by unheard.
 	Drop float64
 	// Corrupt flips a burst of bits inside a 32-byte window of the
-	// encoded frame. The damaged frame is then decoded: the checksum
-	// rejects it and the cycle is reported lost (in the astronomically
-	// unlikely event the frame still checks out, it is delivered).
+	// encoded frame. The checksum rejects the damaged frame and the cycle
+	// is lost (in the unlikely event the flips cancel out and the frame
+	// still checks out, it is delivered).
 	Corrupt float64
 	// Truncate cuts the encoded frame short at a random byte; the decode
-	// failure reports the cycle lost.
+	// failure loses the cycle.
 	Truncate float64
 	// Duplicate delivers the frame a second time immediately after the
 	// first. Receivers must discard the copy.
@@ -219,16 +226,122 @@ func ParsePlan(s string) (Plan, error) {
 	return p, nil
 }
 
-// Stats counts what a fault layer did to the stream, per cause.
+// Stats counts what a fault layer did to the stream, per cause. Each frame
+// counts once: as Delivered (twice if duplicated) or under one loss cause.
+// Duplicated and Reordered mark delivered frames.
 type Stats struct {
 	Delivered  int64 // frames passed through intact (duplicates included)
 	Dropped    int64 // frames lost to independent drops
-	Corrupted  int64 // frames lost to bit corruption
+	Corrupted  int64 // frames hit by bit corruption (lost unless the flips cancel out)
 	Truncated  int64 // frames lost to truncation
 	Burst      int64 // frames lost to burst outages
 	Duplicated int64 // frames delivered twice
-	Reordered  int64 // frame pairs swapped
+	Reordered  int64 // frames delivered after their successor
 }
 
 // Lost returns the total number of cycles the layer made unhearable.
 func (s Stats) Lost() int64 { return s.Dropped + s.Corrupted + s.Truncated + s.Burst }
+
+// corruptWindow is the span, in bytes, of one bit-corruption burst.
+const corruptWindow = 32
+
+// ladder is a Plan's faults over one channel, decided frame by frame from
+// one seeded RNG. Its draw method is the only code in this package that
+// decides a fault: the Mangler airs its verdicts and the Injector decodes
+// them, so both give the same channel for the same (plan, seed).
+type ladder struct {
+	plan      Plan
+	rng       *rand.Rand
+	rec       obs.Recorder
+	burstLeft int  // remaining cycles of the active burst outage
+	swapping  bool // the last frame was reordered behind the next one
+	stats     Stats
+}
+
+// newLadder seeds a ladder. The RNG construction matches the client
+// runtime's disconnection RNG, so a drop-only plan with the client's seed
+// replays its DisconnectProb schedule exactly.
+func newLadder(plan Plan, seed int64) (*ladder, error) {
+	if err := plan.Validate(); err != nil {
+		return nil, err
+	}
+	return &ladder{plan: plan, rng: rand.New(rand.NewSource(seed))}, nil
+}
+
+// fate is the ladder's verdict on one frame.
+type fate struct {
+	copies int  // times the frame goes out: 0 (lost), 1, or 2 (duplicated)
+	late   bool // reordered: the copies go out after the next frame
+	// damaged, when non-nil, is a corrupted or truncated frame that goes
+	// out once instead of the frame.
+	damaged []byte
+}
+
+// draw decides every fault for the frame of cycle c, in the Plan's order,
+// counts the frame once in the stats, and records each fault it applies
+// as a fault event stamped with c. frame fetches the frame's bytes; draw
+// calls it only to corrupt or truncate them, and never writes them: a
+// corrupted frame is a fresh copy, a truncated one a prefix. The frame
+// after a reordered one passes with no draws, and frame may then be nil.
+func (l *ladder) draw(c model.Cycle, frame func() ([]byte, error)) (fate, error) {
+	if l.swapping {
+		l.swapping = false
+		l.stats.Delivered++
+		return fate{copies: 1}, nil
+	}
+	hit := func(p float64) bool { return p > 0 && l.rng.Float64() < p }
+	fault := func(n *int64, kind string) {
+		*n++
+		if l.rec != nil {
+			l.rec.Record(obs.Event{Type: obs.TypeFault, T: obs.At(c, 0), Reason: kind})
+		}
+	}
+	if l.burstLeft > 0 {
+		l.burstLeft--
+		fault(&l.stats.Burst, "burst")
+		return fate{}, nil
+	}
+	if hit(l.plan.Burst) {
+		l.burstLeft = l.plan.burstLen() - 1
+		fault(&l.stats.Burst, "burst")
+		return fate{}, nil
+	}
+	if hit(l.plan.Drop) {
+		fault(&l.stats.Dropped, "drop")
+		return fate{}, nil
+	}
+	if corrupt := hit(l.plan.Corrupt); corrupt || hit(l.plan.Truncate) {
+		f, err := frame()
+		if err != nil {
+			return fate{}, err
+		}
+		if !corrupt {
+			fault(&l.stats.Truncated, "truncate")
+			return fate{copies: 1, damaged: f[:l.rng.Intn(len(f))]}, nil
+		}
+		damaged := append([]byte(nil), f...)
+		off := l.rng.Intn(len(damaged))
+		flips := 1 + l.rng.Intn(corruptWindow-1)
+		for i := 0; i < flips; i++ {
+			pos := off + l.rng.Intn(corruptWindow)
+			if pos >= len(damaged) {
+				pos = len(damaged) - 1
+			}
+			damaged[pos] ^= 1 << uint(l.rng.Intn(8))
+		}
+		fault(&l.stats.Corrupted, "corrupt")
+		return fate{copies: 1, damaged: damaged}, nil
+	}
+	v := fate{copies: 1}
+	if hit(l.plan.Duplicate) {
+		v.copies = 2
+		fault(&l.stats.Duplicated, "duplicate")
+	}
+	if hit(l.plan.Reorder) {
+		v.late = true
+		l.swapping = true
+		fault(&l.stats.Reordered, "reorder")
+	}
+	l.stats.Delivered += int64(v.copies)
+	return v, nil
+}

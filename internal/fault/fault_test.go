@@ -10,9 +10,11 @@ import (
 	"bpush/internal/broadcast"
 	"bpush/internal/client"
 	"bpush/internal/core"
+	"bpush/internal/cyclesource"
 	"bpush/internal/model"
 	"bpush/internal/server"
 	"bpush/internal/wire"
+	"bpush/internal/workload"
 )
 
 // sliceFeed replays a fixed becast sequence, then io.EOF.
@@ -30,8 +32,10 @@ func (f *sliceFeed) Next() (*broadcast.Bcast, error) {
 	return b, nil
 }
 
+func (f *sliceFeed) Frame() ([]byte, error) { return wire.Encode(f.bs[f.i-1]) }
+
 // makeCycles assembles n consecutive real becasts from a small server.
-func makeCycles(t *testing.T, n int) []*broadcast.Bcast {
+func makeCycles(t testing.TB, n int) []*broadcast.Bcast {
 	t.Helper()
 	srv, err := server.New(server.Config{DBSize: 8, MaxVersions: 1})
 	if err != nil {
@@ -317,17 +321,17 @@ func TestManglerFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := m.Mangle(frame); len(out) != 0 {
+	if out := m.Mangle(1, frame); len(out) != 0 {
 		t.Errorf("dropped frame still transmitted %d copies", len(out))
 	}
 
 	m, _ = NewMangler(Plan{Duplicate: 1}, 1)
-	if out := m.Mangle(frame); len(out) != 2 || !bytes.Equal(out[0], frame) || !bytes.Equal(out[1], frame) {
+	if out := m.Mangle(1, frame); len(out) != 2 || !bytes.Equal(out[0], frame) || !bytes.Equal(out[1], frame) {
 		t.Errorf("duplicate produced %d frames", len(out))
 	}
 
 	m, _ = NewMangler(Plan{Corrupt: 1}, 1)
-	out := m.Mangle(frame)
+	out := m.Mangle(1, frame)
 	if len(out) != 1 || bytes.Equal(out[0], frame) {
 		t.Error("corruption left the frame intact")
 	}
@@ -336,17 +340,17 @@ func TestManglerFaults(t *testing.T) {
 	}
 
 	m, _ = NewMangler(Plan{Truncate: 1}, 1)
-	out = m.Mangle(frame)
+	out = m.Mangle(1, frame)
 	if len(out) != 1 || len(out[0]) >= len(frame) {
 		t.Error("truncation did not shorten the frame")
 	}
 
 	m, _ = NewMangler(Plan{Reorder: 1}, 1)
 	frame2 := mustEncode(t, makeCycles(t, 2)[1])
-	if out := m.Mangle(frame); len(out) != 0 {
+	if out := m.Mangle(1, frame); len(out) != 0 {
 		t.Errorf("reordered frame transmitted immediately (%d frames)", len(out))
 	}
-	out = m.Mangle(frame2)
+	out = m.Mangle(2, frame2)
 	if len(out) != 2 || !bytes.Equal(out[0], frame2) || !bytes.Equal(out[1], frame) {
 		t.Errorf("reorder delivered %d frames in the wrong order", len(out))
 	}
@@ -378,7 +382,7 @@ func TestManglerNeverWritesInput(t *testing.T) {
 	inputs := make([][]byte, n)
 	for i := range inputs {
 		inputs[i] = append([]byte(nil), base[i%len(base)]...)
-		m.Mangle(inputs[i])
+		m.Mangle(model.Cycle(i+1), inputs[i])
 		if !bytes.Equal(inputs[i], base[i%len(base)]) {
 			t.Fatalf("frame %d: Mangle wrote its input", i)
 		}
@@ -394,7 +398,7 @@ func TestManglerNeverWritesInput(t *testing.T) {
 	}
 }
 
-func mustEncode(t *testing.T, b *broadcast.Bcast) []byte {
+func mustEncode(t testing.TB, b *broadcast.Bcast) []byte {
 	t.Helper()
 	frame, err := wire.Encode(b)
 	if err != nil {
@@ -410,24 +414,32 @@ func mustEncode(t *testing.T, b *broadcast.Bcast) []byte {
 // subscriber that heard the mangled frame rebuilds its control-info
 // structures locally. The survivor's content must still round-trip.
 func TestCorruptSurvivorCarriesNoIndex(t *testing.T) {
-	cycles := makeCycles(t, 1)
-	b := cycles[0]
+	b := makeCycles(t, 1)[0]
 	if _, err := b.PrimeIndex(); err != nil {
 		t.Fatal(err)
 	}
 	if b.SharedIndex() == nil {
 		t.Fatal("producer-side becast not primed")
 	}
-	in, err := New(&sliceFeed{bs: cycles}, Plan{Corrupt: 1}, 1)
+	// Survival needs the random flips to cancel exactly; corrupt the same
+	// frame until one does (the draw sequence is deterministic under the
+	// fixed seed, so this finds the same survivor every run).
+	const tries = 200000
+	feed := &sliceFeed{bs: make([]*broadcast.Bcast, tries)}
+	for i := range feed.bs {
+		feed.bs[i] = b
+	}
+	in, err := New(feed, Plan{Corrupt: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Survival needs the random flips to cancel exactly; drive the corrupt
-	// path until one does (the draw sequence is deterministic under the
-	// fixed seed, so this finds the same survivor every run).
-	for i := 0; i < 200000; i++ {
-		got, ok := in.corrupt(b)
-		if !ok {
+	for i := 0; i < tries; i++ {
+		ev, err := in.NextEvent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ev.Bcast
+		if got == nil {
 			continue
 		}
 		if got == b {
@@ -442,4 +454,184 @@ func TestCorruptSurvivorCarriesNoIndex(t *testing.T) {
 		return
 	}
 	t.Fatal("no corrupted frame survived decode; widen the search or reseed")
+}
+
+// TestStatsCountEachFrameOnce pins Stats' accounting on both sides of the
+// channel: with neither duplicates nor reorders in the plan, every frame
+// is either delivered or lost to exactly one cause — a corrupted frame
+// that is also drawn for truncation is not counted twice.
+func TestStatsCountEachFrameOnce(t *testing.T) {
+	const n = 500
+	cycles := makeCycles(t, 8)
+	plan := Plan{Drop: 0.1, Corrupt: 0.3, Truncate: 0.3, Burst: 0.05}
+	m, err := NewMangler(plan, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := &sliceFeed{}
+	for i := 0; i < n; i++ {
+		b := cycles[i%len(cycles)]
+		m.Mangle(b.Cycle, mustEncode(t, b))
+		feed.bs = append(feed.bs, b)
+	}
+	in, err := New(feed, plan, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, in)
+	for side, st := range map[string]Stats{"mangler": m.Stats(), "injector": in.Stats()} {
+		if st.Delivered+st.Lost() != n {
+			t.Errorf("%s: delivered %d + lost %d != %d frames: %+v", side, st.Delivered, st.Lost(), n, st)
+		}
+		if st.Corrupted == 0 || st.Truncated == 0 {
+			t.Errorf("%s: plan left corruption or truncation unexercised: %+v", side, st)
+		}
+	}
+}
+
+// aired returns what a tuner hears from a Mangler over the given cycles,
+// in drain's notation: the cycle of every aired frame that decodes, and
+// the negated cycle of every frame the Mangler put nothing decodable on
+// air for. A frame still held back by a reorder when the stream ends is
+// what the next Mangle call would air, so it is counted as heard.
+func aired(t testing.TB, m *Mangler, cycles []*broadcast.Bcast, frames [][]byte) []int64 {
+	t.Helper()
+	var seq []int64
+	hear := func(c model.Cycle, out [][]byte) {
+		for _, f := range out {
+			if got, err := wire.DecodeBytes(f); err == nil {
+				seq = append(seq, int64(got.Cycle))
+			} else {
+				seq = append(seq, -int64(c))
+			}
+		}
+	}
+	for i, b := range cycles {
+		out := m.Mangle(b.Cycle, frames[i])
+		if len(out) == 0 && m.held == nil {
+			seq = append(seq, -int64(b.Cycle))
+		}
+		hear(b.Cycle, out)
+	}
+	hear(0, m.held)
+	return seq
+}
+
+// limitFeed ends a feed after n becasts.
+type limitFeed struct {
+	*cyclesource.Feed
+	n int
+}
+
+func (f *limitFeed) Next() (*broadcast.Bcast, error) {
+	if f.n == 0 {
+		return nil, io.EOF
+	}
+	f.n--
+	return f.Feed.Next()
+}
+
+// TestInjectorHearsWhatTheStationAirs is the one-channel property: with
+// the same plan and seed, a simulated client behind an Injector hears and
+// loses exactly the cycles a tuner decodes from what a station's Mangler
+// airs over the same source.
+func TestInjectorHearsWhatTheStationAirs(t *testing.T) {
+	const n = 300
+	src, err := cyclesource.New(cyclesource.Config{
+		DBSize:   60,
+		Versions: 2,
+		Workload: workload.ServerConfig{
+			DBSize: 60, UpdateRange: 30, Theta: 0.95,
+			TxPerCycle: 3, UpdatesPerCycle: 6, ReadsPerUpdate: 2,
+		},
+		Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	var cycles []*broadcast.Bcast
+	var frames [][]byte
+	for i := 0; i < n; i++ {
+		b, frame, err := src.GetFrame(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles = append(cycles, b)
+		frames = append(frames, frame)
+	}
+	plans := Plans()
+	plans["heavy"] = Plan{Drop: 0.1, Corrupt: 0.2, Truncate: 0.2, Duplicate: 0.2, Reorder: 0.2, Burst: 0.05}
+	for name, plan := range plans {
+		for _, seed := range []int64{1, 99} {
+			m, err := NewMangler(plan, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := aired(t, m, cycles, frames)
+			in, err := New(&limitFeed{Feed: src.NewFeed(), n: n}, plan, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := drain(t, in); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s seed %d: injector heard\n %v\nstation aired\n %v", name, seed, got, want)
+			}
+			if in.Stats() != m.Stats() {
+				t.Errorf("%s seed %d: stats differ: injector %+v, mangler %+v", name, seed, in.Stats(), m.Stats())
+			}
+		}
+	}
+}
+
+// FuzzFaultLadder runs the ladder over any plan, seed and frame sequence
+// and checks, on every input: Mangle never writes the frame it is given;
+// each frame counts once in Stats; and the Injector's events are exactly
+// what a tuner decodes from the Mangler's output.
+func FuzzFaultLadder(f *testing.F) {
+	pool := makeCycles(f, 8)
+	var encoded [][]byte
+	for _, b := range pool {
+		encoded = append(encoded, mustEncode(f, b))
+	}
+	f.Add(int64(1), uint8(25), uint8(25), uint8(25), uint8(25), uint8(25), uint8(5), uint8(3), []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(int64(7), uint8(0), uint8(255), uint8(255), uint8(0), uint8(0), uint8(0), uint8(0), []byte{3, 3, 3})
+	f.Add(int64(9), uint8(0), uint8(0), uint8(0), uint8(128), uint8(128), uint8(0), uint8(0), []byte{7, 6, 5, 4, 3, 2, 1, 0})
+	f.Fuzz(func(t *testing.T, seed int64, drop, corrupt, truncate, duplicate, reorder, burst, burstLen uint8, picks []byte) {
+		p := func(v uint8) float64 { return float64(v) / 255 }
+		plan := Plan{
+			Drop: p(drop), Corrupt: p(corrupt), Truncate: p(truncate),
+			Duplicate: p(duplicate), Reorder: p(reorder), Burst: p(burst),
+			BurstLen: int(burstLen % 8),
+		}
+		var cycles []*broadcast.Bcast
+		var frames, pristine [][]byte
+		for _, k := range picks {
+			i := int(k) % len(pool)
+			cycles = append(cycles, pool[i])
+			frames = append(frames, append([]byte(nil), encoded[i]...))
+			pristine = append(pristine, encoded[i])
+		}
+		m, err := NewMangler(plan, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := aired(t, m, cycles, frames)
+		for i := range frames {
+			if !bytes.Equal(frames[i], pristine[i]) {
+				t.Fatalf("frame %d: Mangle wrote its input", i)
+			}
+		}
+		in, err := New(&sliceFeed{bs: cycles}, plan, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drain(t, in); !reflect.DeepEqual(got, want) {
+			t.Fatalf("injector heard\n %v\nstation aired\n %v", got, want)
+		}
+		for side, st := range map[string]Stats{"mangler": m.Stats(), "injector": in.Stats()} {
+			if got := st.Delivered - st.Duplicated + st.Lost(); got != int64(len(picks)) {
+				t.Fatalf("%s counted %d frames, want %d: %+v", side, got, len(picks), st)
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -334,5 +335,54 @@ func TestClientRecorderRaceUnderTick(t *testing.T) {
 	}
 	if got := counters["events.cycle-end"]; got != cycles {
 		t.Errorf("events.cycle-end = %d, want %d", got, cycles)
+	}
+}
+
+// TestQueueDepthZeroMeansDrainsRecorded pins the order a shard writer
+// keeps for a sampled frame: it records the frame's drain latency before
+// it takes the frame off QueueDepth. So once QueueDepth reads 0, every
+// sampled frame already has its drain sample, and a test or an operator
+// can read exact counts without polling the histograms.
+func TestQueueDepthZeroMeansDrainsRecorded(t *testing.T) {
+	bc, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = bc.Close() }()
+	reg := obs.NewRegistry()
+	drain := make([]*obs.Histogram, bc.cfg.Shards)
+	for i := range drain {
+		drain[i] = reg.Histogram(fmt.Sprintf("drain.%d", i), spanNsBounds)
+	}
+	if err := bc.SampleLag(obs.WallSampler(), reg.Histogram("depth", queueDepthBounds), drain, 1); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := bc.SubscribeLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	go func() { _, _ = io.Copy(io.Discard, conn) }()
+
+	frame := NewFrame([]byte("frame"))
+	const frames = 300
+	for i := 1; i <= frames; i++ {
+		if err := bc.Broadcast(frame); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for bc.QueueDepth() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("frame %d: queue never drained", i)
+			}
+			runtime.Gosched()
+		}
+		var n uint64
+		for _, h := range drain {
+			n += h.Snapshot().Count
+		}
+		if n != uint64(i) {
+			t.Fatalf("frame %d: QueueDepth reads 0 with %d drain samples recorded", i, n)
+		}
 	}
 }

@@ -484,9 +484,12 @@ func (b *Broadcaster) runShard(s *shard) {
 						n, err := b.writeFrame(sub.conn, b.cfg.WriteTimeout, qf.f)
 						b.bytesSent.Add(int64(n))
 						s.bytes.Add(int64(n))
-						s.queued.Add(-1)
+						// The frame leaves QueueDepth only after everything
+						// it counts for is recorded, so a depth of 0 means
+						// every drain sample and drop is in.
 						if err != nil {
 							b.dropSub(s, sub)
+							s.queued.Add(-1)
 							break drain
 						}
 						b.framesSent.Add(1)
@@ -496,6 +499,7 @@ func (b *Broadcaster) runShard(s *shard) {
 								sm.drain[s.id].Observe(float64(sm.now() - qf.at))
 							}
 						}
+						s.queued.Add(-1)
 						progress = true
 					default:
 						break drain

@@ -465,7 +465,7 @@ func (s *Station) Tick() error {
 	}
 	var frames [][]byte
 	if s.mangler != nil {
-		frames = s.mangler.Mangle(frame)
+		frames = s.mangler.Mangle(b.Cycle, frame)
 	}
 	s.mu.Unlock()
 	if s.mangler == nil {

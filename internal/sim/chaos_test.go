@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"bpush/internal/core"
 	"bpush/internal/fault"
+	"bpush/internal/obs"
 )
 
 // chaosConfig shrinks the test configuration further: fault plans force
@@ -23,6 +27,35 @@ func chaosConfig(opts core.Options, plan fault.Plan, seed int64) Config {
 	return cfg
 }
 
+// chaosVariants are the scheme configurations the chaos suite certifies
+// under every shipped plan, each at every seed in chaosSeeds.
+var chaosVariants = []core.Options{
+	{Kind: core.KindInvOnly},
+	{Kind: core.KindInvOnly, ResyncOnReconnect: true},
+	{Kind: core.KindVCache, CacheSize: 40, ResyncOnReconnect: true},
+	{Kind: core.KindMVBroadcast},
+	{Kind: core.KindMVBroadcast, CacheSize: 40, TolerateDisconnects: true},
+	{Kind: core.KindMVCache, CacheSize: 40},
+	{Kind: core.KindSGT},
+	{Kind: core.KindSGT, TolerateDisconnects: true},
+}
+
+var chaosSeeds = []int64{1, 99}
+
+func chaosLabel(plan string, opts core.Options, seed int64) string {
+	return fmt.Sprintf("%s/%v-res%v-tol%v/seed%d",
+		plan, opts.Kind, opts.ResyncOnReconnect, opts.TolerateDisconnects, seed)
+}
+
+// chaosCellConfig is one cell of the chaos suite.
+func chaosCellConfig(opts core.Options, plan fault.Plan, seed int64) Config {
+	cfg := chaosConfig(opts, plan, seed)
+	if opts.Kind == core.KindMVBroadcast {
+		cfg.ServerVersions = 6
+	}
+	return cfg
+}
+
 // TestChaosOracleAcrossSchemesAndPlans is the chaos property suite: every
 // scheme, under every shipped fault plan, with the consistency oracle on.
 // The property is the paper's correctness claim extended to a hostile
@@ -30,28 +63,14 @@ func chaosConfig(opts core.Options, plan fault.Plan, seed int64) Config {
 // accepted transaction is ever inconsistent, and no fault surfaces as an
 // infrastructure error. Each cell is exercised under two seeds.
 func TestChaosOracleAcrossSchemesAndPlans(t *testing.T) {
-	variants := []core.Options{
-		{Kind: core.KindInvOnly},
-		{Kind: core.KindInvOnly, ResyncOnReconnect: true},
-		{Kind: core.KindVCache, CacheSize: 40, ResyncOnReconnect: true},
-		{Kind: core.KindMVBroadcast},
-		{Kind: core.KindMVBroadcast, CacheSize: 40, TolerateDisconnects: true},
-		{Kind: core.KindMVCache, CacheSize: 40},
-		{Kind: core.KindSGT},
-		{Kind: core.KindSGT, TolerateDisconnects: true},
-	}
 	for name, plan := range fault.Plans() {
-		for _, opts := range variants {
-			for _, seed := range []int64{1, 99} {
+		for _, opts := range chaosVariants {
+			for _, seed := range chaosSeeds {
 				opts, plan, seed := opts, plan, seed
-				label := fmt.Sprintf("%s/%v-res%v-tol%v/seed%d",
-					name, opts.Kind, opts.ResyncOnReconnect, opts.TolerateDisconnects, seed)
+				label := chaosLabel(name, opts, seed)
 				t.Run(label, func(t *testing.T) {
 					t.Parallel()
-					cfg := chaosConfig(opts, plan, seed)
-					if opts.Kind == core.KindMVBroadcast {
-						cfg.ServerVersions = 6
-					}
+					cfg := chaosCellConfig(opts, plan, seed)
 					m, err := Run(cfg)
 					if err != nil {
 						t.Fatalf("chaos run failed: %v", err)
@@ -68,6 +87,45 @@ func TestChaosOracleAcrossSchemesAndPlans(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestChaosGolden pins what every chaos cell's client heard and did: per
+// shipped plan, a SHA-256 over each cell's Metrics and client trace, in
+// variant and seed order. The hashes were captured before the sim fault
+// injector was rebuilt on the station's fault ladder and on the source's
+// own frames, so they hold that the rebuild moved no draw and no count.
+func TestChaosGolden(t *testing.T) {
+	want := map[string]string{
+		"bursty": "8d896acc7c8c6b0d185a9750f4a3431f7a2e7859a239b90adc00754a3b6757d0",
+		"chaos":  "908a466054f9a2032af4221968d03cf9478f42a14c08067098e9777671fa7f99",
+		"drops":  "61660da9ed8f3693b9887f7202dd77912244487aefb98325d18afd7f3cb23378",
+		"jitter": "d5b6cc140ee815482221c7320e8712d5e22213d740ace188dc04676471e6027b",
+		"noise":  "01f9539e56f8ebabebb66e75774e19c8227dbdc27d3f773d2b28138866e8701e",
+	}
+	for _, name := range fault.PlanNames() {
+		plan := fault.Plans()[name]
+		h := sha256.New()
+		for _, opts := range chaosVariants {
+			for _, seed := range chaosSeeds {
+				cfg := chaosCellConfig(opts, plan, seed)
+				var trace bytes.Buffer
+				rec := obs.NewJSONL(&trace)
+				cfg.Recorder = rec
+				m, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", chaosLabel(name, opts, seed), err)
+				}
+				if rec.Err() != nil {
+					t.Fatal(rec.Err())
+				}
+				fmt.Fprintf(h, "%s\n%+v\n", chaosLabel(name, opts, seed), *m)
+				h.Write(trace.Bytes())
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+			t.Errorf("plan %s: sha256 %s, want %s", name, got, want[name])
 		}
 	}
 }

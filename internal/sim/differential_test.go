@@ -9,10 +9,12 @@ import (
 	"reflect"
 	"testing"
 
+	"bpush/internal/broadcast"
 	"bpush/internal/core"
 	"bpush/internal/cyclesource"
 	"bpush/internal/fault"
 	"bpush/internal/obs"
+	"bpush/internal/wire"
 )
 
 // differentialSeeds is the seed sweep of the shared-index differential
@@ -25,6 +27,13 @@ var differentialSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34}
 // cycle the producer put on the air.
 func diffRun(t *testing.T, cfg Config) (m *Metrics, client, source []byte, frames string) {
 	t.Helper()
+	return diffRunFeed(t, cfg, sourceFeed)
+}
+
+// diffRunFeed is diffRun with the client reading the stream through
+// newFeed.
+func diffRunFeed(t *testing.T, cfg Config, newFeed func(*cyclesource.Source) feed) (m *Metrics, client, source []byte, frames string) {
+	t.Helper()
 	var cbuf, sbuf bytes.Buffer
 	cw, sw := obs.NewJSONL(&cbuf), obs.NewJSONL(&sbuf)
 	cfg.Recorder = cw
@@ -34,7 +43,7 @@ func diffRun(t *testing.T, cfg Config) (m *Metrics, client, source []byte, frame
 		t.Fatal(err)
 	}
 	defer func() { _ = src.Close() }()
-	m, err = runClient(cfg, src)
+	m, err = runClient(cfg, src, newFeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,21 +75,35 @@ func frameDigest(t *testing.T, src *cyclesource.Source) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// assertIndexInvisible runs cfg under the shared per-cycle index and again
-// with ForceLocalIndex (every consumer rebuilds its control-info
-// structures from the raw becast) and requires the two executions to be
-// observationally identical: equal Metrics, byte-identical JSONL traces
-// and byte-identical frames. The shared index is an optimization, never
-// a behavior change.
+// decodedFeed hands its client every cycle the way a live tuner does:
+// decoded from the cycle's wire frame, so no becast it delivers carries
+// the producer's shared CycleIndex.
+type decodedFeed struct{ *cyclesource.Feed }
+
+func newDecodedFeed(src *cyclesource.Source) feed { return decodedFeed{src.NewFeed()} }
+
+func (f decodedFeed) Next() (*broadcast.Bcast, error) {
+	if _, err := f.Feed.Next(); err != nil {
+		return nil, err
+	}
+	frame, err := f.Frame()
+	if err != nil {
+		return nil, err
+	}
+	return wire.DecodeBytes(frame)
+}
+
+// assertIndexInvisible runs cfg with clients reading the source's own
+// becasts, which carry the producer's shared per-cycle index, and again
+// with clients reading decoded frames (every consumer rebuilds its
+// control-info structures from the raw becast), and requires the two
+// executions to be observationally identical: equal Metrics,
+// byte-identical JSONL traces and byte-identical frames. The shared index
+// is an optimization, never a behavior change.
 func assertIndexInvisible(t *testing.T, cfg Config) {
 	t.Helper()
-	shared := cfg
-	shared.ForceLocalIndex = false
-	local := cfg
-	local.ForceLocalIndex = true
-
-	sm, sc, ss, sf := diffRun(t, shared)
-	lm, lc, ls, lf := diffRun(t, local)
+	sm, sc, ss, sf := diffRun(t, cfg)
+	lm, lc, ls, lf := diffRunFeed(t, cfg, newDecodedFeed)
 
 	if !reflect.DeepEqual(sm, lm) {
 		t.Errorf("metrics differ between shared and local index:\nshared: %+v\nlocal:  %+v", sm, lm)
@@ -101,7 +124,7 @@ func assertIndexInvisible(t *testing.T, cfg Config) {
 
 // TestSharedIndexDifferential is the full differential sweep: every scheme,
 // at item granularity and (where the method defines it) bucket granularity,
-// across eight seeds. Shared-index and forced-local runs must be
+// across eight seeds. Shared-index and decoded-frame runs must be
 // byte-identical.
 func TestSharedIndexDifferential(t *testing.T) {
 	if testing.Short() {
@@ -143,10 +166,10 @@ func TestSharedIndexDifferential(t *testing.T) {
 }
 
 // TestSharedIndexDifferentialUnderFaults covers the fallback path the fault
-// layer forces: corrupted-but-decodable and truncated frames arrive as
-// fresh, unindexed becasts, so a chaos run mixes shared-index cycles with
-// locally rebuilt ones. The mix must still match a run with the index off
-// everywhere.
+// layer forces: a corrupted frame that still decodes arrives as a fresh,
+// unindexed becast, so a chaos run mixes shared-index cycles with locally
+// rebuilt ones. The mix must still match a run where every client reads
+// decoded frames.
 func TestSharedIndexDifferentialUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault differential sweep")
@@ -179,18 +202,18 @@ func TestSharedIndexDifferentialUnderFaults(t *testing.T) {
 
 // TestSharedIndexDifferentialFleet extends the property to fleets: many
 // clients sharing one producer's index must produce exactly the metrics
-// and traces of a fleet where every client rebuilds locally.
+// and traces of a fleet where every client reads decoded frames and
+// rebuilds locally.
 func TestSharedIndexDifferentialFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet differential")
 	}
 	const clients = 5
-	run := func(forceLocal bool) ([]Metrics, []byte, string) {
+	run := func(newFeed func(*cyclesource.Source) feed) ([]Metrics, []byte, string) {
 		cfg := testConfig(core.KindSGT, 40)
 		cfg.Queries = 40
 		cfg.Warmup = 5
 		cfg.Check = false
-		cfg.ForceLocalIndex = forceLocal
 		cfg.Parallel = 2
 		bufs := make([]bytes.Buffer, clients)
 		recs := make([]*obs.JSONL, clients)
@@ -203,7 +226,7 @@ func TestSharedIndexDifferentialFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { _ = src.Close() }()
-		fm, err := runFleet(cfg, src, clients)
+		fm, err := runFleet(cfg, src, clients, newFeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,8 +244,8 @@ func TestSharedIndexDifferentialFleet(t *testing.T) {
 		}
 		return perClient, out.Bytes(), frameDigest(t, src)
 	}
-	sharedM, sharedT, sharedF := run(false)
-	localM, localT, localF := run(true)
+	sharedM, sharedT, sharedF := run(sourceFeed)
+	localM, localT, localF := run(newDecodedFeed)
 	if !reflect.DeepEqual(sharedM, localM) {
 		t.Errorf("fleet metrics differ between shared and local index")
 	}

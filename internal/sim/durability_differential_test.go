@@ -50,7 +50,7 @@ func durPhase2(t *testing.T, cfg Config) (*Metrics, []byte, []byte, string) {
 		t.Fatal(err)
 	}
 	defer func() { _ = src.Close() }()
-	m, err := runClient(cfg, src)
+	m, err := runClient(cfg, src, sourceFeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDurabilityRestartEquivalenceFleet(t *testing.T) {
 		if got := src.Produced(); resumed && got != stop {
 			t.Fatalf("resumed fleet source Produced() = %d, want %d", got, stop)
 		}
-		fm, err := runFleet(cfg, src, clients)
+		fm, err := runFleet(cfg, src, clients, sourceFeed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,13 +44,14 @@ func RunFleet(cfg Config, clients int) (*FleetMetrics, error) {
 		return nil, err
 	}
 	defer func() { _ = src.Close() }()
-	return runFleet(cfg, src, clients)
+	return runFleet(cfg, src, clients, sourceFeed)
 }
 
 // runFleet drives the fleet over an injected source — the seam the
 // durability differential uses to run a fleet against a producer resumed
-// from disk. The caller owns (and closes) the source.
-func runFleet(cfg Config, src *cyclesource.Source, clients int) (*FleetMetrics, error) {
+// from disk — each client reading it through newFeed(src). The caller
+// owns (and closes) the source.
+func runFleet(cfg Config, src *cyclesource.Source, clients int, newFeed func(*cyclesource.Source) feed) (*FleetMetrics, error) {
 	if clients <= 0 {
 		return nil, fmt.Errorf("sim: fleet size must be positive, got %d", clients)
 	}
@@ -66,7 +67,7 @@ func runFleet(cfg Config, src *cyclesource.Source, clients int) (*FleetMetrics, 
 			c.Recorder = cfg.RecorderFor(i)
 			c.RecorderFor = nil
 		}
-		m, err := runClient(c, src)
+		m, err := runClient(c, src, newFeed)
 		if err != nil {
 			return fmt.Errorf("client %d: %w", i, err)
 		}

@@ -114,7 +114,7 @@ func TestProducerPipelineDifferentialFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { _ = src.Close() }()
-		fm, err := runFleet(cfg, src, clients)
+		fm, err := runFleet(cfg, src, clients, sourceFeed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,15 +92,6 @@ type Config struct {
 	// DBSize, ServerTx, and Updates; incompatible with broadcast disks.
 	Intervals int
 
-	// ForceLocalIndex disables the shared per-cycle control-info index end
-	// to end: the producer does not prime a CycleIndex on its becasts and
-	// every client rebuilds its report/delta structures locally, exactly as
-	// the pre-index code did. Runs are specified to be byte-identical with
-	// the flag on or off (same metrics, same traces); the differential
-	// suite enforces that, and benchmarks use the flag to measure the
-	// per-client rebuild cost the shared index removes.
-	ForceLocalIndex bool
-
 	// Run control.
 	Queries      int   // measured queries
 	Warmup       int   // unmeasured queries to reach steady state
@@ -287,7 +278,6 @@ func (c Config) NewSource() (*cyclesource.Source, error) {
 		Chunks:        intervals,
 		Check:         c.Check,
 		OracleWindow:  c.OracleWindow,
-		DisableIndex:  c.ForceLocalIndex,
 		LogDir:        c.LogDir,
 		MemCycles:     c.MemCycles,
 		SnapshotEvery: c.SnapshotEvery,
@@ -301,13 +291,25 @@ func Run(cfg Config) (*Metrics, error) {
 		return nil, err
 	}
 	defer func() { _ = src.Close() }()
-	return runClient(cfg, src)
+	return runClient(cfg, src, sourceFeed)
 }
 
-// runClient consumes the shared cycle stream with one client and collects
-// its metrics. It is a pure function of (cfg, cfg.ClientSeed, the stream),
-// which is what makes fleet results independent of worker interleaving.
-func runClient(cfg Config, src *cyclesource.Source) (*Metrics, error) {
+// feed is one client's cursor over the shared cycle stream.
+type feed interface {
+	fault.Feed
+	Cycles() uint64
+	Lens() []int
+}
+
+// sourceFeed opens a client's cursor on src: the source's own feed, whose
+// becasts carry the producer's shared CycleIndex.
+func sourceFeed(src *cyclesource.Source) feed { return src.NewFeed() }
+
+// runClient consumes the shared cycle stream with one client, reading it
+// through newFeed(src), and collects its metrics. It is a pure function
+// of (cfg, cfg.ClientSeed, the stream), which is what makes fleet results
+// independent of worker interleaving.
+func runClient(cfg Config, src *cyclesource.Source, newFeed func(*cyclesource.Source) feed) (*Metrics, error) {
 	clientSeed := cfg.ClientSeed
 	if clientSeed == 0 {
 		clientSeed = cfg.Seed + 1
@@ -326,14 +328,11 @@ func runClient(cfg Config, src *cyclesource.Source) (*Metrics, error) {
 	}
 	sopts := cfg.Scheme
 	sopts.Recorder = rec
-	if cfg.ForceLocalIndex {
-		sopts.ForceLocalIndex = true
-	}
 	scheme, err := core.New(sopts)
 	if err != nil {
 		return nil, err
 	}
-	feed := src.NewFeed()
+	feed := newFeed(src)
 	ccfg := client.Config{
 		ThinkTime:      cfg.ThinkTime,
 		DisconnectProb: cfg.DisconnectProb,
