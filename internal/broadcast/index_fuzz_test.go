@@ -5,6 +5,7 @@ import (
 
 	"bpush/internal/model"
 	"bpush/internal/sg"
+	"bpush/internal/sgtest"
 )
 
 // fz is a deterministic byte consumer: the fuzzer's raw input becomes a
@@ -32,9 +33,10 @@ func (f *fz) intn(n int) int {
 
 // fuzzBcast derives a random-but-well-formed becast from the fuzz input:
 // a flat data segment, per-item overflow groups (newest first, distinct
-// descending cycles), a sorted unique invalidation report, and an SG delta
-// whose edges may or may not respect commit order (Compile must reject
-// exactly the violations Apply rejects).
+// descending cycles), a sorted unique invalidation report, and an SG delta.
+// The delta's edges point into its own cycle and are usually put in
+// canonical (To, From) order; unsorted lists and backward edges remain,
+// so Compile must reject exactly the malformed blocks.
 func fuzzBcast(f *fz) (*Bcast, error) {
 	const cyc = model.Cycle(9)
 	n := 1 + f.intn(24)
@@ -74,7 +76,24 @@ func fuzzBcast(f *fz) (*Bcast, error) {
 		delta.Nodes = append(delta.Nodes, tx())
 	}
 	for k := f.intn(10); k > 0; k-- {
-		delta.Edges = append(delta.Edges, sg.Edge{From: tx(), To: tx()})
+		to := model.TxID{Cycle: cyc, Seq: uint32(f.intn(4))}
+		if f.intn(8) == 0 {
+			to = tx() // possibly into another cycle
+		}
+		delta.Edges = append(delta.Edges, sg.Edge{From: tx(), To: to})
+	}
+	if f.intn(4) != 0 {
+		// The producer's form: the cycle's transactions declared, the
+		// block sorted and duplicate-free.
+		delta.Nodes = []model.TxID{{Cycle: cyc}, {Cycle: cyc, Seq: 1}, {Cycle: cyc, Seq: 2}, {Cycle: cyc, Seq: 3}}
+		sg.SortEdges(delta.Edges)
+		uniq := delta.Edges[:0]
+		for i, e := range delta.Edges {
+			if i == 0 || e != delta.Edges[i-1] {
+				uniq = append(uniq, e)
+			}
+		}
+		delta.Edges = uniq
 	}
 	return New(cyc, report, delta, entries, overflow, len(delta.Nodes), n)
 }
@@ -83,8 +102,9 @@ func fuzzBcast(f *fz) (*Bcast, error) {
 // linear-scan oracle over the same becast: report membership and
 // first-writer at item granularity, bucket expansion and membership at a
 // random granularity, overflow groups, and serialization-graph delta
-// integration (compiled-vs-naive must build identical graphs, including
-// under a prune floor, and must agree on rejecting invalid deltas).
+// integration (graphs fed the compiled and the checked delta must answer
+// every cycle test as the map oracle does, including under a prune floor,
+// and Compile must reject exactly the malformed blocks).
 func FuzzCycleIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 0, 1, 2, 0, 0, 3, 1, 1, 0, 2, 2, 5, 1, 0, 3})
@@ -100,11 +120,21 @@ func FuzzCycleIndex(f *testing.F) {
 
 		x, idxErr := b.PrimeIndex()
 
-		// Oracle 1: delta validity. Compile (inside PrimeIndex) must reject
-		// exactly the deltas Apply rejects: an edge violating commit order.
+		// Oracle 1: delta validity. Compile (inside PrimeIndex) and Apply
+		// must reject exactly the deltas that are not their cycle's
+		// in-edge block: an edge against commit order, into another
+		// cycle or an undeclared transaction, or not strictly after its
+		// predecessor in (To, From) order.
+		malformed := false
+		for i, e := range b.Delta.Edges {
+			if !e.From.Before(e.To) || e.To.Cycle != b.Delta.Cycle || int(e.To.Seq) >= len(b.Delta.Nodes) ||
+				(i > 0 && !sg.EdgeLess(b.Delta.Edges[i-1], e)) {
+				malformed = true
+			}
+		}
 		applyErr := sg.New().Apply(b.Delta)
-		if (idxErr != nil) != (applyErr != nil) {
-			t.Fatalf("index err %v but naive Apply err %v", idxErr, applyErr)
+		if (idxErr != nil) != malformed || (applyErr != nil) != malformed {
+			t.Fatalf("index err %v, Apply err %v, want an error exactly when malformed (%v)", idxErr, applyErr, malformed)
 		}
 		if idxErr != nil {
 			return // both sides reject; nothing further to compare
@@ -179,34 +209,35 @@ func FuzzCycleIndex(f *testing.F) {
 			}
 		}
 
-		// Oracle 5: compiled delta integration equals naive edge-by-edge
-		// application, with and without a prune floor.
+		// Oracle 5: a graph fed the compiled delta and one fed the checked
+		// delta answer every cycle test as the map oracle does, with and
+		// without a prune floor.
+		var txs []model.TxID
+		txs = append(txs, b.Delta.Nodes...)
+		for _, e := range b.Delta.Edges {
+			txs = append(txs, e.From, e.To)
+		}
 		for _, floor := range []model.Cycle{0, prune} {
-			naive, compiled := sg.New(), sg.New()
+			naive, compiled, oracle := sg.New(), sg.New(), sgtest.New()
 			naive.PruneBefore(floor)
 			compiled.PruneBefore(floor)
+			oracle.PruneBefore(floor)
 			if err := naive.Apply(b.Delta); err != nil {
-				t.Fatalf("naive Apply rejected a delta Compile accepted: %v", err)
+				t.Fatalf("Apply rejected a delta Compile accepted: %v", err)
+			}
+			if err := oracle.Apply(b.Delta); err != nil {
+				t.Fatalf("oracle rejected a delta Compile accepted: %v", err)
 			}
 			if cd := x.Delta(); cd != nil {
 				compiled.ApplyCompiled(cd)
 			}
-			if naive.NodeCount() != compiled.NodeCount() || naive.EdgeCount() != compiled.EdgeCount() {
-				t.Fatalf("floor %d: compiled graph %d/%d nodes/edges, naive %d/%d",
-					floor, compiled.NodeCount(), compiled.EdgeCount(), naive.NodeCount(), naive.EdgeCount())
-			}
-			var txs []model.TxID
-			txs = append(txs, b.Delta.Nodes...)
-			for _, e := range b.Delta.Edges {
-				txs = append(txs, e.From, e.To)
-			}
 			for _, u := range txs {
-				if naive.HasNode(u) != compiled.HasNode(u) {
-					t.Fatalf("floor %d: HasNode(%v) disagrees", floor, u)
-				}
 				for _, v := range txs {
-					if naive.Reachable(u, v) != compiled.Reachable(u, v) {
-						t.Fatalf("floor %d: Reachable(%v, %v) disagrees", floor, u, v)
+					want := oracle.Reachable(u, v)
+					for name, g := range map[string]*sg.Graph{"applied": naive, "compiled": compiled} {
+						if got := g.ReachableFromAny([]model.TxID{u}, v); got != want {
+							t.Fatalf("floor %d: %s graph reaches %v from %v = %v, oracle %v", floor, name, v, u, got, want)
+						}
 					}
 				}
 			}

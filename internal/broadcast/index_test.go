@@ -33,10 +33,12 @@ func testBcast(t *testing.T) *Bcast {
 		{Item: 3, FirstWriter: tx(4, 1)},
 		{Item: 7, FirstWriter: tx(4, 0)},
 	}
+	// A delta is its own cycle's in-edge block: every edge points into
+	// a transaction of cycle 5.
 	delta := sg.Delta{
 		Cycle: 5,
-		Nodes: []model.TxID{tx(4, 0), tx(4, 1)},
-		Edges: []sg.Edge{{From: tx(4, 0), To: tx(4, 1)}},
+		Nodes: []model.TxID{tx(5, 0), tx(5, 1)},
+		Edges: []sg.Edge{{From: tx(4, 0), To: tx(5, 1)}},
 	}
 	b, err := New(5, report, delta, entries, overflow, 2, 10)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"bpush/internal/broadcast"
 	"bpush/internal/cache"
@@ -37,9 +38,8 @@ type sgt struct {
 	resync bool      // a cycle was missed; the next NewCycle may jump
 
 	// targets are R's precedence targets (the heads of its outgoing
-	// edges); targetSet dedupes them.
-	targets   []model.TxID
-	targetSet map[model.TxID]struct{}
+	// edges), without duplicates, in the order they were found.
+	targets []model.TxID
 	// keyScratch is the sorted-readset-walk scratch, reused per cycle.
 	keyScratch []model.ItemID
 	// invalidFrom is c_o: the cycle of the first readset invalidation,
@@ -101,11 +101,6 @@ func (s *sgt) clearTxnGraphState() {
 	// Owner-retained scratch: capacity survives across transactions so
 	// the per-cycle target walk stops allocating at steady state.
 	s.targets = s.targets[:0]
-	if s.targetSet == nil {
-		s.targetSet = make(map[model.TxID]struct{})
-	} else {
-		clear(s.targetSet)
-	}
 	s.invalidFrom = 0
 	s.ceiling = 0
 }
@@ -139,9 +134,8 @@ func (s *sgt) NewCycle(b *broadcast.Bcast) error {
 	s.graph.PruneBefore(floor)
 	s.view.load(b, 1) // SGT is defined at item granularity
 	if idx := s.view.idx; idx != nil {
-		// Shared path: the delta was validated, deduplicated, and grouped
-		// into adjacency form once, by the producer; integrating it is a
-		// straight merge.
+		// Shared path: the delta was checked once, when the producer
+		// compiled the index; the graph stores the block as it is.
 		if cd := idx.Delta(); cd != nil {
 			s.graph.ApplyCompiled(cd)
 		}
@@ -166,11 +160,9 @@ func (s *sgt) NewCycle(b *broadcast.Bcast) error {
 			if !ok {
 				continue
 			}
-			if _, dup := s.targetSet[tf]; dup {
-				continue
+			if slices.Contains(s.targets, tf) {
+				continue // at most the readset long: a scan beats a set
 			}
-			//lint:allow hotalloc targetSet is owner-retained and clear()-reused; buckets amortize to steady state
-			s.targetSet[tf] = struct{}{}
 			//lint:allow hotalloc targets is owner-retained [:0] scratch; capacity amortizes to steady state
 			s.targets = append(s.targets, tf)
 			if s.invalidFrom == 0 {
@@ -320,10 +312,4 @@ func (s *sgt) Commit() (CommitInfo, error) {
 	s.t.reset()
 	s.clearTxnGraphState()
 	return info, nil
-}
-
-// GraphStats exposes the local graph's size for instrumentation (space
-// overhead experiments).
-func (s *sgt) GraphStats() (nodes, edges int) {
-	return s.graph.NodeCount(), s.graph.EdgeCount()
 }

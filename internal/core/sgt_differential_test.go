@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"bpush/internal/model"
-	"bpush/internal/sg"
+	"bpush/internal/sgtest"
 )
 
 // refSGT is a reference SGT decision procedure that takes no shortcuts: it
@@ -18,7 +18,7 @@ import (
 // scheme's; this differential test checks exactly that over random
 // workloads.
 type refSGT struct {
-	graph   *sg.Graph
+	graph   *sgtest.Graph
 	writers map[model.ItemID][]model.TxID // all writers per item, commit order
 	targets []model.TxID
 	readset map[model.ItemID]struct{}
@@ -26,7 +26,7 @@ type refSGT struct {
 
 func newRefSGT() *refSGT {
 	return &refSGT{
-		graph:   sg.New(),
+		graph:   sgtest.New(),
 		writers: make(map[model.ItemID][]model.TxID),
 		readset: make(map[model.ItemID]struct{}),
 	}
@@ -139,7 +139,7 @@ func TestSGTCommittedTransactionsAreSerializable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := newHarness(t, dbSize, 1, Options{Kind: KindSGT})
 
-	full := sg.New() // the unpruned server graph
+	full := sgtest.New() // the unpruned server graph
 	committed := 0
 	for q := 0; q < 300; q++ {
 		if err := h.scheme.Begin(); err != nil {
@@ -189,7 +189,7 @@ func TestSGTCommittedTransactionsAreSerializable(t *testing.T) {
 // assertSerializable checks that no precedence target of the committed
 // query can reach any of its dependency sources in the full graph — i.e.
 // adding R with all its edges keeps the graph acyclic.
-func assertSerializable(t *testing.T, h *harness, full *sg.Graph, info CommitInfo) {
+func assertSerializable(t *testing.T, h *harness, full *sgtest.Graph, info CommitInfo) {
 	t.Helper()
 	// Dependency sources: writers of the observed values.
 	var sources []model.TxID

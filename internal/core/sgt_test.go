@@ -120,20 +120,35 @@ func TestSGTTolerateDisconnectsAcceptsOldValues(t *testing.T) {
 	h.wantAbort(5)
 }
 
+// writerOf returns the transaction of cycle c's log that committed seq-th.
+func (h *harness) writerOf(c model.Cycle, seq int) model.TxID {
+	h.t.Helper()
+	log, ok := h.logs[c]
+	if !ok || seq >= len(log.Delta.Nodes) {
+		h.t.Fatalf("no transaction %d in cycle %v", seq, c)
+	}
+	return log.Delta.Nodes[seq]
+}
+
 func TestSGTGraphPruning(t *testing.T) {
 	h := newHarness(t, 10, 1, Options{Kind: KindSGT})
+	// One read-modify-write of item 1 per cycle: a chain of conflict
+	// edges from each cycle's transaction to the next one's.
 	for i := 0; i < 10; i++ {
-		h.cycleTxs(rwTx(nil, []model.ItemID{model.ItemID(i%10 + 1)}))
+		h.cycleTxs(rwTx(nil, []model.ItemID{1}))
 	}
 	s, ok := h.scheme.(*sgt)
 	if !ok {
 		t.Fatal("scheme is not *sgt")
 	}
-	nodes, _ := s.GraphStats()
+	cur := h.cur.Cycle
+	first, prev, last := h.writerOf(2, 0), h.writerOf(cur-1, 0), h.writerOf(cur, 0)
 	// With no active invalidated transaction, only the current cycle's
-	// subgraph may be retained (Lemma 1 space bound).
-	if nodes > 1 {
-		t.Errorf("retained %d nodes with no active transaction, want <= 1", nodes)
+	// subgraph may be retained (Lemma 1 space bound): not even the edge
+	// from the previous cycle's transaction into this one counts.
+	if s.graph.ReachableFromAny([]model.TxID{first}, last) || s.graph.ReachableFromAny([]model.TxID{prev}, last) {
+		t.Errorf("graph still reaches %v from %v or %v with no active transaction, want everything before %v pruned",
+			last, first, prev, cur)
 	}
 }
 
@@ -141,21 +156,23 @@ func TestSGTGraphRetainedWhileTransactionNeedsIt(t *testing.T) {
 	h := newHarness(t, 10, 1, Options{Kind: KindSGT})
 	h.mustBegin()
 	h.mustRead(3)
-	h.cycleTxs(rwTx(nil, []model.ItemID{3})) // c_o: subgraphs must be kept
+	h.cycleTxs(rwTx(nil, []model.ItemID{3, 8})) // c_o: subgraphs must be kept
+	co := h.cur.Cycle
 	for i := 0; i < 5; i++ {
 		h.cycleTxs(rwTx(nil, []model.ItemID{8}))
 	}
 	s := h.scheme.(*sgt)
-	nodes, _ := s.GraphStats()
-	if nodes < 6 {
-		t.Errorf("retained %d nodes, want the full window since c_o (6)", nodes)
+	tf, last := h.writerOf(co, 0), h.writerOf(h.cur.Cycle, 0)
+	// The chain of writes of item 8 runs from T_f through every cycle
+	// since c_o: the whole window must still be there.
+	if !s.graph.ReachableFromAny(s.targets, last) {
+		t.Errorf("precedence targets %v do not reach %v, want the full window since c_o (%v) retained", s.targets, last, co)
 	}
 	// After the transaction ends, the next cycle prunes again.
 	h.scheme.Abort()
 	h.cycle()
-	nodes, _ = s.GraphStats()
-	if nodes > 1 {
-		t.Errorf("retained %d nodes after abort, want <= 1", nodes)
+	if s.graph.ReachableFromAny([]model.TxID{tf}, last) {
+		t.Errorf("graph still reaches %v from %v after abort, want the window pruned", last, tf)
 	}
 }
 

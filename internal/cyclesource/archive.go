@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"bpush/internal/core"
 	"bpush/internal/model"
@@ -18,7 +19,8 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 var ErrOracleWindow = errors.New("cyclesource: query outlived the oracle window")
 
 // archive keeps the database states and cycle logs produced, plus the
-// full serialization graph, for the correctness oracle. Retention is
+// full serialization graph (a ring of every cycle's in-edge block, never
+// pruned), for the correctness oracle. Retention is
 // total by default — the archive is part of the replayable cycle log, so
 // a consumer that starts late can still have its earliest commits
 // checked. The window applies at check time, relative to the checked
@@ -41,6 +43,10 @@ type archive struct {
 	states map[model.Cycle]model.DBState
 	logs   map[model.Cycle]*server.CycleLog
 	graph  *sg.Graph
+	// search serializes the graph's cycle tests: checks run under the
+	// source's read lock, concurrently, but each search uses the graph's
+	// own scratch.
+	search sync.Mutex
 }
 
 func newArchive(window int) *archive {
@@ -147,6 +153,8 @@ func (a *archive) check(info core.CommitInfo) error {
 			}
 		}
 	}
+	a.search.Lock()
+	defer a.search.Unlock()
 	for _, src := range sources {
 		if a.graph.ReachableFromAny(targets, src) {
 			return fmt.Errorf("SGT commit at %v not serializable: overwriter path reaches dependency source %v",

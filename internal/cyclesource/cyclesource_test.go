@@ -286,3 +286,43 @@ func TestArchiveSGTCheck(t *testing.T) {
 		t.Errorf("serializable SGT commit rejected: %v", err)
 	}
 }
+
+// TestArchiveConcurrentSGTChecks: Source.Check runs under the source's
+// read lock, so consumers check concurrently, while the archive graph's
+// cycle test uses the graph's own search scratch. Every verdict must
+// still be the serial one (and, under -race, the scratch unshared).
+func TestArchiveConcurrentSGTChecks(t *testing.T) {
+	a := newArchive(32)
+	ta := model.TxID{Cycle: 2, Seq: 0}
+	tb := model.TxID{Cycle: 3, Seq: 0}
+	lb := archLog(3, map[model.ItemID][]model.TxID{2: {tb}})
+	lb.Delta.Edges = append(lb.Delta.Edges, sg.Edge{From: ta, To: tb})
+	a.addLog(archLog(2, map[model.ItemID][]model.TxID{1: {ta}}))
+	a.addLog(lb)
+	bad := core.CommitInfo{StartCycle: 2, CommitCycle: 3, Reads: []model.ReadObservation{
+		{Item: 1, Version: 1, Writer: model.InitialLoadTx},
+		{Item: 2, Version: 3, Writer: tb},
+	}}
+	good := core.CommitInfo{StartCycle: 2, CommitCycle: 3, Reads: []model.ReadObservation{
+		{Item: 1, Version: 2, Writer: ta},
+		{Item: 2, Version: 3, Writer: tb},
+	}}
+	var mu sync.RWMutex // stands in for the source's lock, held shared
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				mu.RLock()
+				badErr, goodErr := a.check(bad), a.check(good)
+				mu.RUnlock()
+				if badErr == nil || goodErr != nil {
+					t.Errorf("concurrent check: bad -> %v, good -> %v", badErr, goodErr)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -8,6 +8,7 @@ import (
 
 	"bpush/internal/model"
 	"bpush/internal/sg"
+	"bpush/internal/sgtest"
 )
 
 func randomTxs(seed int64, n, dbSize int) []model.ServerTx {
@@ -362,7 +363,7 @@ func FuzzPipelineVsOracle(f *testing.F) {
 func TestConcurrentInvariants(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		s := mustNew(t, Config{DBSize: 12, MaxVersions: 2, Workers: workers})
-		g := sg.New()
+		g, ring := sgtest.New(), sg.New()
 		for cyc := 0; cyc < 6; cyc++ {
 			txs := randomTxs(int64(100+cyc), 16, 12)
 			log, err := s.CommitAndAdvance(txs)
@@ -396,6 +397,9 @@ func TestConcurrentInvariants(t *testing.T) {
 			}
 			if err := g.Apply(log.Delta); err != nil {
 				t.Fatal(err)
+			}
+			if err := ring.Apply(log.Delta); err != nil {
+				t.Fatalf("delta is not a canonical in-edge block: %v", err)
 			}
 			// First/last writers must be consistent with AllWriters.
 			for item, ws := range log.AllWriters {

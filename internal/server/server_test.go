@@ -5,6 +5,7 @@ import (
 
 	"bpush/internal/model"
 	"bpush/internal/sg"
+	"bpush/internal/sgtest"
 )
 
 func mustNew(t *testing.T, cfg Config) *Server {
@@ -225,7 +226,7 @@ func TestCrossCycleReaderPrecedenceEdge(t *testing.T) {
 
 func TestDeltaAppliesCleanlyToGraph(t *testing.T) {
 	s := mustNew(t, Config{DBSize: 50, MaxVersions: 1})
-	g := sg.New()
+	g, ring := sgtest.New(), sg.New()
 	txs := make([]model.ServerTx, 5)
 	for i := range txs {
 		item := model.ItemID(i*7%50 + 1)
@@ -242,6 +243,11 @@ func TestDeltaAppliesCleanlyToGraph(t *testing.T) {
 		}
 		if err := g.Apply(log.Delta); err != nil {
 			t.Fatalf("cycle %d: %v", cyc, err)
+		}
+		// The client ring accepts only its cycle's canonical in-edge
+		// block: sorted, duplicate-free, every edge into this cycle.
+		if err := ring.Apply(log.Delta); err != nil {
+			t.Fatalf("cycle %d: delta is not a canonical in-edge block: %v", cyc, err)
 		}
 	}
 	if !g.IsAcyclic() {

@@ -5,21 +5,28 @@
 // that one of T_i's operations precedes and conflicts with one of T_j's.
 // Because server transactions commit serially and histories are strict, all
 // edges run from earlier to later commits (Claim 1 of the paper): the
-// server-side graph is a DAG ordered by commit order. The graph is
-// organized as per-cycle subgraphs SG^i so that clients can prune everything
-// older than the first invalidation cycle of their oldest active read-only
-// transaction (the space bound of Lemma 1).
+// server-side graph is a DAG ordered by commit order.
+//
+// The graph is kept as the paper splits it, into per-cycle subgraphs SG^k,
+// each stored as it arrives on the air: a cycle's delta lists the edges
+// into that cycle's transactions sorted by (To, From) (EdgeLess), so it
+// already is the cycle's in-edge block, in compressed-sparse-row order.
+// Graph is a ring of those blocks. Applying a delta stores one slice
+// header, and pruning below the first invalidation cycle of the oldest
+// active read-only transaction (the space bound of Lemma 1) drops whole
+// blocks.
 //
 // Read-only transactions are deliberately *not* nodes of this graph. A
 // client query R keeps only its outgoing precedence edges (R -> T_f, where
 // T_f is the first transaction that overwrote an item R read); by Lemma 1 a
 // cycle through R exists exactly when some T_f reaches the last writer T_l
 // of an item R is about to read. The client therefore tests cycles with
-// ReachableFromAny rather than materializing R in the graph.
+// ReachableFromAny, which searches backward from T_l through the blocks.
 package sg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bpush/internal/model"
@@ -60,288 +67,275 @@ type Delta struct {
 	// in the becast of Cycle.
 	Cycle model.Cycle
 	Nodes []model.TxID
+	// Edges are the in-edges of this cycle's transactions: every To is
+	// a declared node ({Cycle, Seq} with Seq < len(Nodes)), and the list
+	// is strictly increasing in EdgeLess order (so free of duplicates).
+	// Apply and Compile reject any other list.
 	Edges []Edge
 }
 
-// CompiledDelta is a Delta whose every edge has had commit order
-// (Claim 1) checked exactly once, for sharing across many client graphs:
-// consumers merge it with ApplyCompiled, which skips the per-edge
-// validation Apply repeats per client. A CompiledDelta is immutable after
-// Compile; any number of graphs may consume it concurrently.
-//
-// Compile deliberately does NOT regroup, sort, or deduplicate the edge
-// list: measured server deltas average hundreds of edges with nearly as
-// many distinct sources (~1.8 targets per source), so any grouping
-// structure — hash maps over 24-byte TxID keys, reflect-driven stable
-// sorts, O(edges × sources) scans — costs the producer far more per cycle
-// than it saves any consumer. Nodes and Edges alias the input Delta.
+// CompiledDelta is a Delta whose edge block has been checked exactly
+// once, for sharing across many client graphs: consumers store it with
+// ApplyCompiled, which skips the check Apply repeats per client. It is
+// immutable; any number of graphs may consume it concurrently. Compile
+// neither copies nor regroups, because the producer's own (To, From)
+// order already is the in-edge block a Graph searches: Cycle, Nodes and
+// Edges are the input Delta's.
 type CompiledDelta struct {
-	// Cycle mirrors Delta.Cycle.
 	Cycle model.Cycle
-	// Nodes aliases the delta's declared node list. Edge endpoints are
-	// NOT merged in: Apply only materializes an endpoint when its edge
-	// survives the consumer's prune floor, so endpoint insertion stays
-	// with the edge walk.
 	Nodes []model.TxID
-	// Edges aliases the delta's edge list, in delta order — the order
-	// out-list construction preserves. Every edge satisfies
-	// From.Before(To). Duplicates, if the delta carries any, remain; they
-	// collapse through the same out-list scan AddEdge performs.
 	Edges []Edge
 }
 
 // Compile validates a broadcast delta so it can be integrated into any
-// number of client graphs with ApplyCompiled, paying the per-edge
-// commit-order check exactly once instead of once per client. It
-// allocates nothing beyond the descriptor: the compiled form aliases the
-// delta's own slices.
+// number of client graphs with ApplyCompiled, paying the check exactly
+// once instead of once per client. It allocates nothing beyond the
+// descriptor: the compiled form aliases the delta's own slices.
 func Compile(d Delta) (*CompiledDelta, error) {
-	for _, e := range d.Edges {
-		if !e.From.Before(e.To) {
-			return nil, fmt.Errorf("sg: edge %v -> %v violates commit order (Claim 1)", e.From, e.To)
-		}
+	if err := check(d); err != nil {
+		return nil, err
 	}
 	//lint:allow hotalloc the compiled delta is the cycle's retained product, shared by every consumer of the index
 	return &CompiledDelta{Cycle: d.Cycle, Nodes: d.Nodes, Edges: d.Edges}, nil
 }
 
-// Graph is a serialization graph over committed server transactions. The
-// zero value is not usable; call New. Graph is not safe for concurrent use;
-// each client owns its local copy, matching the paper's model.
+// check is the one O(E) pass that makes a delta a well-formed in-edge
+// block: every edge runs forward in commit order (Claim 1), lands on a
+// transaction the delta declares (of its cycle, Seq below len(Nodes), as
+// the server numbers commits), and strictly follows its predecessor in
+// EdgeLess order. Declared targets bound a graph's marks by the delta.
+func check(d Delta) error {
+	for i, e := range d.Edges {
+		if !e.From.Before(e.To) {
+			return fmt.Errorf("sg: edge %v -> %v violates commit order (Claim 1)", e.From, e.To)
+		}
+		if e.To.Cycle != d.Cycle {
+			return fmt.Errorf("sg: edge %v -> %v targets another cycle than the delta's %v", e.From, e.To, d.Cycle)
+		}
+		if int(e.To.Seq) >= len(d.Nodes) {
+			return fmt.Errorf("sg: edge %v -> %v targets a transaction beyond the %d the delta declares", e.From, e.To, len(d.Nodes))
+		}
+		if i > 0 && !EdgeLess(d.Edges[i-1], e) {
+			return fmt.Errorf("sg: edge %v -> %v out of (To, From) order or duplicated", e.From, e.To)
+		}
+	}
+	return nil
+}
+
+// Graph is a client's serialization graph: a ring of per-cycle in-edge
+// blocks spanning the cycles from the prune floor to the newest delta
+// applied. A missed or skipped cycle leaves an empty block. The zero value
+// is an empty graph. Graph is not safe for concurrent use, not even
+// for concurrent ReachableFromAny calls, which share the graph's search
+// scratch; each client owns its local copy, matching the paper's model.
 type Graph struct {
-	out     map[model.TxID][]model.TxID
-	byCycle map[model.Cycle][]model.TxID
-	edges   int
-	// pruned is the lowest cycle still retained; nodes of earlier cycles
-	// have been discarded and edges into them are treated as dead ends.
-	pruned model.Cycle
+	// ring holds cycle c's block at index c & (len(ring)-1); len(ring)
+	// is zero or a power of two larger than end-base.
+	ring []block
+	// base is the prune floor, the lowest retained cycle; end is one
+	// past the newest applied cycle (end >= base). Blocks outside
+	// [base, end) are empty.
+	base, end model.Cycle
+	// epoch stamps one search's marks: a node marked epoch was visited,
+	// one marked epoch+1 is a target. Older stamps are stale.
+	epoch uint32
+	stack []model.TxID // search scratch, reused across searches
+}
+
+// block is one cycle's slot in the ring.
+type block struct {
+	// edges is the cycle's delta, aliased: the in-edges of its
+	// transactions, sorted by (To, From).
+	edges []Edge
+	// marks are the search stamps of the cycle's transactions, indexed
+	// by Seq. They keep their capacity when the slot is reused.
+	marks []uint32
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		out:     make(map[model.TxID][]model.TxID),
-		byCycle: make(map[model.Cycle][]model.TxID),
-	}
-}
+func New() *Graph { return &Graph{} }
 
-// EnsureNode adds a transaction node if not already present. Nodes from
-// already-pruned cycles are ignored (they can never participate in a future
-// cycle through an active query).
-func (g *Graph) EnsureNode(t model.TxID) {
-	if t.Cycle < g.pruned {
-		return
-	}
-	if _, ok := g.out[t]; ok {
-		return
-	}
-	g.out[t] = nil
-	g.byCycle[t.Cycle] = append(g.byCycle[t.Cycle], t)
-}
-
-// HasNode reports whether t is a retained node.
-func (g *Graph) HasNode(t model.TxID) bool {
-	_, ok := g.out[t]
-	return ok
-}
-
-// AddEdge inserts the conflict edge from -> to, creating missing nodes.
-// It enforces Claim 1: edges must run forward in commit order. Edges whose
-// source lies in a pruned cycle are dropped silently — by Lemma 1 they
-// cannot participate in a cycle through any still-active query.
-func (g *Graph) AddEdge(from, to model.TxID) error {
-	if !from.Before(to) {
-		return fmt.Errorf("sg: edge %v -> %v violates commit order (Claim 1)", from, to)
-	}
-	if from.Cycle < g.pruned {
-		return nil
-	}
-	g.EnsureNode(from)
-	g.EnsureNode(to)
-	for _, t := range g.out[from] {
-		if t == to {
-			return nil // idempotent
-		}
-	}
-	g.out[from] = append(g.out[from], to)
-	g.edges++
-	return nil
-}
-
-// Apply integrates a broadcast delta into the local graph.
+// Apply checks a broadcast delta (see Compile) and stores it as its
+// cycle's block. The graph keeps the delta's edge slice, which must not
+// be modified afterwards.
 func (g *Graph) Apply(d Delta) error {
-	for _, n := range d.Nodes {
-		g.EnsureNode(n)
+	if err := check(d); err != nil {
+		return fmt.Errorf("apply delta for %v: %w", d.Cycle, err)
 	}
-	for _, e := range d.Edges {
-		if err := g.AddEdge(e.From, e.To); err != nil {
-			return fmt.Errorf("apply delta for %v: %w", d.Cycle, err)
-		}
-	}
+	g.store(d.Cycle, d.Nodes, d.Edges)
 	return nil
 }
 
-// ApplyCompiled integrates a pre-validated delta. It is equivalent to
-// Apply(d) for the Delta cd was compiled from — same retained nodes, same
-// out-lists, same edge count — but skips the per-edge commit-order check
-// Compile already performed. The graph still applies its own prune floor:
-// edges from pruned sources are dropped without touching either endpoint,
-// exactly as AddEdge would have dropped them.
-func (g *Graph) ApplyCompiled(cd *CompiledDelta) {
-	for _, n := range cd.Nodes {
-		g.EnsureNode(n)
+// ApplyCompiled stores a delta Compile already checked. It is equivalent
+// to Apply of the Delta cd was compiled from.
+func (g *Graph) ApplyCompiled(cd *CompiledDelta) { g.store(cd.Cycle, cd.Nodes, cd.Edges) }
+
+// store makes edges cycle c's block. A delta below the prune floor is
+// dropped whole: its edges' sources are older still. Re-applying a cycle
+// replaces its block.
+func (g *Graph) store(c model.Cycle, nodes []model.TxID, edges []Edge) {
+	if c < g.base {
+		return
 	}
-	for _, e := range cd.Edges {
-		if e.From.Cycle < g.pruned {
-			continue // AddEdge's silent drop: Lemma 1 makes these dead
-		}
-		g.EnsureNode(e.From)
-		g.EnsureNode(e.To)
-		dup := false
-		for _, t := range g.out[e.From] {
-			if t == e.To {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		//lint:allow hotalloc adjacency growth is the algorithm: the persistent graph is bounded by Lemma 1 pruning, and capacity is reclaimed there
-		g.out[e.From] = append(g.out[e.From], e.To)
-		g.edges++
+	if c-g.base >= model.Cycle(len(g.ring)) {
+		g.widen(c)
+	}
+	b := &g.ring[g.slot(c)]
+	b.edges = edges
+	if len(b.marks) < len(nodes) {
+		b.marks = grown(b.marks, len(nodes))
+	}
+	if c >= g.end {
+		g.end = c + 1
 	}
 }
 
-// NodeCount returns the number of retained nodes.
-func (g *Graph) NodeCount() int { return len(g.out) }
-
-// EdgeCount returns the number of retained edges.
-func (g *Graph) EdgeCount() int { return g.edges }
-
-// MinRetainedCycle returns the lowest cycle whose subgraph is retained.
-func (g *Graph) MinRetainedCycle() model.Cycle { return g.pruned }
-
-// Reachable reports whether there is a directed path (of length >= 0) from
-// src to dst. A node unknown to the graph has no outgoing edges.
-func (g *Graph) Reachable(src, dst model.TxID) bool {
-	return g.ReachableFromAny([]model.TxID{src}, dst)
+// widen doubles the ring until it spans the cycles base through c, moving
+// the retained blocks to their new slots.
+func (g *Graph) widen(c model.Cycle) {
+	n := max(8, 2*len(g.ring))
+	for model.Cycle(n) <= c-g.base {
+		n *= 2
+	}
+	old := g.ring
+	g.ring = grown([]block(nil), n)
+	for cy := g.base; cy < g.end; cy++ {
+		g.ring[g.slot(cy)] = old[int(uint64(cy)&uint64(len(old)-1))]
+	}
 }
 
-// ReachableFromAny reports whether dst is reachable from any of the source
-// transactions. This is the client-side SGT cycle test: a read of an item
-// last written by dst closes a cycle through the query R iff dst is
-// reachable from R's precedence targets (Claims 2 and 3 justify using only
-// the first-writer edges as sources).
+func (g *Graph) slot(c model.Cycle) int { return int(uint64(c) & uint64(len(g.ring)-1)) }
+
+// PruneBefore discards the subgraphs SG^k for all k < c, the space
+// optimization of §3.3: a client only needs subgraphs from the cycle at
+// which the first item read by its oldest active query was overwritten.
+// Each cycle's block drops at once. Edges from pruned transactions into
+// retained blocks stay stored and are skipped by the search.
+func (g *Graph) PruneBefore(c model.Cycle) {
+	if c <= g.base {
+		return
+	}
+	for cy := g.base; cy < c && cy < g.end; cy++ {
+		g.ring[g.slot(cy)].edges = nil
+	}
+	g.base = c
+	g.end = max(g.end, c)
+}
+
+// ReachableFromAny reports whether dst is reachable, by a path of length
+// zero or more through retained transactions, from any of the targets.
+// This is the client-side SGT cycle test: a read of an item last written
+// by dst closes a cycle through the query R iff dst is reachable from R's
+// precedence targets (Claims 2 and 3 justify using only the first-writer
+// edges as sources). Targets and path nodes older than the prune floor
+// have no retained out-edges.
 //
-// Because all edges run forward in commit order, the search prunes any
-// branch that has passed dst's commit position.
-func (g *Graph) ReachableFromAny(sources []model.TxID, dst model.TxID) bool {
-	if len(sources) == 0 {
+// The search runs backward from dst. A transaction's in-edges are one run
+// of its cycle's block, found by binary search on To. Because all edges
+// run forward in commit order, a source that committed before the
+// earliest retained target cannot lie on a path from one, and is skipped;
+// that covers every source below the prune floor.
+//
+//lint:hotpath every SGT read runs this cycle test
+func (g *Graph) ReachableFromAny(targets []model.TxID, dst model.TxID) bool {
+	if len(targets) == 0 || dst.Cycle < g.base {
 		return false
 	}
-	// A destination older than every retained cycle cannot be reached:
-	// sources at or after the prune floor only have forward edges.
-	if dst.Cycle < g.pruned {
-		return false
-	}
-	seen := make(map[model.TxID]struct{}, len(sources))
-	stack := make([]model.TxID, 0, len(sources))
-	for _, s := range sources {
-		if s == dst {
+	first := dst // becomes the earliest retained target before dst
+	for _, t := range targets {
+		if t == dst {
 			return true
 		}
-		if !s.Before(dst) {
-			continue // forward edges can never come back to dst
+		if t.Cycle >= g.base && t.Before(first) {
+			first = t
 		}
-		if _, ok := seen[s]; ok {
-			continue
-		}
-		seen[s] = struct{}{}
-		stack = append(stack, s)
 	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, next := range g.out[n] {
-			if next == dst {
+	if first == dst || dst.Cycle >= g.end {
+		return false // no retained target before dst, or nothing into dst
+	}
+	g.epoch += 2
+	if g.epoch == 0 {
+		for i := range g.ring {
+			clear(g.ring[i].marks)
+		}
+		g.epoch = 2
+	}
+	seen, hit := g.epoch, g.epoch+1
+	for _, t := range targets {
+		if t.Cycle >= g.base && t.Before(dst) {
+			if m := g.mark(t); m != nil {
+				*m = hit
+			}
+		}
+	}
+	g.stack = grown(g.stack, 1)
+	g.stack[0] = dst
+	for sp := 1; sp > 0; {
+		sp--
+		for _, e := range g.inEdges(g.stack[sp]) {
+			f := e.From
+			if f.Before(first) {
+				continue // first is retained, so this skips pruned sources too
+			}
+			m := g.mark(f) // nil: undeclared by its delta, so without in-edges
+			if (m == nil && slices.Contains(targets, f)) || (m != nil && *m == hit) {
 				return true
 			}
-			if !next.Before(dst) {
+			if m == nil || *m == seen {
 				continue
 			}
-			if _, ok := seen[next]; ok {
-				continue
+			*m = seen
+			if sp == len(g.stack) {
+				g.stack = grown(g.stack, sp+1)
 			}
-			seen[next] = struct{}{}
-			stack = append(stack, next)
+			g.stack[sp] = f
+			sp++
 		}
 	}
 	return false
 }
 
-// PruneBefore discards the subgraphs SG^k for all k < c, the space
-// optimization of §3.3: a client only needs subgraphs from the cycle at
-// which the first item read by its oldest active query was overwritten.
-func (g *Graph) PruneBefore(c model.Cycle) {
-	if c <= g.pruned {
-		return
-	}
-	for cy := g.pruned; cy < c; cy++ {
-		for _, t := range g.byCycle[cy] {
-			g.edges -= len(g.out[t])
-			delete(g.out, t)
+// inEdges returns the run of n's cycle block whose To is n; n's cycle is
+// retained.
+func (g *Graph) inEdges(n model.TxID) []Edge {
+	es := g.ring[g.slot(n.Cycle)].edges
+	lo, hi := 0, len(es)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if es[m].To.Seq < n.Seq {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		delete(g.byCycle, cy)
 	}
-	// Edges from retained nodes into pruned nodes are harmless for
-	// reachability (the DFS treats missing nodes as sinks, and by Claim 1
-	// retained->pruned edges cannot exist anyway), so only the forward
-	// adjacency needed fixing.
-	g.pruned = c
+	end := lo
+	for end < len(es) && es[end].To.Seq == n.Seq {
+		end++
+	}
+	return es[lo:end]
 }
 
-// IsAcyclic verifies that the retained graph has no directed cycle. With
-// AddEdge enforcing commit order this always holds; the method exists as an
-// invariant check for tests and for integrating externally built deltas.
-func (g *Graph) IsAcyclic() bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[model.TxID]int, len(g.out))
-	var visit func(t model.TxID) bool
-	visit = func(t model.TxID) bool {
-		color[t] = gray
-		for _, n := range g.out[t] {
-			switch color[n] {
-			case gray:
-				return false
-			case white:
-				if !visit(n) {
-					return false
-				}
-			}
-		}
-		color[t] = black
-		return true
+// mark returns t's search stamp, or nil for a transaction its cycle's
+// slot has no mark for (one its delta did not declare, or of a cycle never
+// heard); t's cycle is retained.
+func (g *Graph) mark(t model.TxID) *uint32 {
+	b := &g.ring[g.slot(t.Cycle)]
+	if int(t.Seq) >= len(b.marks) {
+		return nil
 	}
-	for t := range g.out {
-		if color[t] == white {
-			if !visit(t) {
-				return false
-			}
-		}
-	}
-	return true
+	return &b.marks[t.Seq]
 }
 
-// Nodes returns the retained transactions of one cycle subgraph, in no
-// particular order. The returned slice is a copy.
-func (g *Graph) Nodes(c model.Cycle) []model.TxID {
-	src := g.byCycle[c]
-	out := make([]model.TxID, len(src))
-	copy(out, src)
+// grown returns s with length at least n, keeping its contents. It reuses
+// the backing array when that is large enough and otherwise at least
+// doubles it, so the graph's scratch reaches its high-water mark in a few
+// steps and then stops allocating.
+func grown[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:cap(s)]
+	}
+	//lint:allow hotalloc owner-retained graph scratch (ring, marks, search stack) grows to its high-water mark, at least doubling, and is then reused
+	out := make([]T, max(n, 2*cap(s)))
+	copy(out, s)
 	return out
 }

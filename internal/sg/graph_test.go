@@ -1,57 +1,78 @@
-package sg
+package sg_test
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"bpush/internal/model"
+	"bpush/internal/sg"
+	"bpush/internal/sgtest"
 )
 
 func tx(c model.Cycle, s uint32) model.TxID { return model.TxID{Cycle: c, Seq: s} }
 
-func TestAddEdgeEnforcesCommitOrder(t *testing.T) {
-	g := New()
-	if err := g.AddEdge(tx(1, 0), tx(1, 1)); err != nil {
-		t.Fatalf("forward same-cycle edge rejected: %v", err)
+// deltas groups edges into one canonical delta per target cycle, the form
+// the producer airs: sorted by (To, From), duplicates dropped, declaring
+// the cycle's transactions up to the highest target, in cycle order.
+func deltas(edges ...sg.Edge) []sg.Delta {
+	byCycle := map[model.Cycle][]sg.Edge{}
+	for _, e := range edges {
+		byCycle[e.To.Cycle] = append(byCycle[e.To.Cycle], e)
 	}
-	if err := g.AddEdge(tx(1, 1), tx(2, 0)); err != nil {
-		t.Fatalf("forward cross-cycle edge rejected: %v", err)
+	out := make([]sg.Delta, 0, len(byCycle))
+	for c, es := range byCycle {
+		es = canonical(es)
+		out = append(out, sg.Delta{Cycle: c, Nodes: nodes(c, int(es[len(es)-1].To.Seq)+1), Edges: es})
 	}
-	if err := g.AddEdge(tx(2, 0), tx(1, 0)); err == nil {
-		t.Error("backward edge accepted, want Claim 1 violation error")
-	}
-	if err := g.AddEdge(tx(1, 0), tx(1, 0)); err == nil {
-		t.Error("self edge accepted, want error")
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Cycle < out[j].Cycle })
+	return out
 }
 
-func TestAddEdgeIdempotent(t *testing.T) {
-	g := New()
-	for i := 0; i < 3; i++ {
-		if err := g.AddEdge(tx(1, 0), tx(1, 1)); err != nil {
+// nodes declares n transactions of cycle c, as the server numbers them.
+func nodes(c model.Cycle, n int) []model.TxID {
+	out := make([]model.TxID, n)
+	for s := range out {
+		out[s] = tx(c, uint32(s))
+	}
+	return out
+}
+
+// canonical sorts es into (To, From) order and drops duplicates, in place.
+func canonical(es []sg.Edge) []sg.Edge {
+	sg.SortEdges(es)
+	uniq := es[:0]
+	for i, e := range es {
+		if i == 0 || e != es[i-1] {
+			uniq = append(uniq, e)
+		}
+	}
+	return uniq
+}
+
+// build applies deltas(edges...) to a fresh ring.
+func build(t testing.TB, edges ...sg.Edge) *sg.Graph {
+	t.Helper()
+	g := sg.New()
+	for _, d := range deltas(edges...) {
+		if err := g.Apply(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := g.EdgeCount(); got != 1 {
-		t.Errorf("EdgeCount() = %d after duplicate inserts, want 1", got)
-	}
+	return g
+}
+
+func reachable(g *sg.Graph, src, dst model.TxID) bool {
+	return g.ReachableFromAny([]model.TxID{src}, dst)
 }
 
 func TestReachableBasic(t *testing.T) {
-	g := New()
-	// Chain 1.0 -> 1.1 -> 2.0 -> 3.0, plus isolated 2.5.
-	edges := []Edge{
-		{tx(1, 0), tx(1, 1)},
-		{tx(1, 1), tx(2, 0)},
-		{tx(2, 0), tx(3, 0)},
-	}
-	for _, e := range edges {
-		if err := g.AddEdge(e.From, e.To); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.EnsureNode(tx(2, 5))
-
+	// Chain 1.0 -> 1.1 -> 2.0 -> 3.0, plus 2.5, declared with no edges.
+	g := build(t,
+		sg.Edge{From: tx(1, 0), To: tx(1, 1)},
+		sg.Edge{From: tx(1, 1), To: tx(2, 0)},
+		sg.Edge{From: tx(2, 0), To: tx(3, 0)},
+	)
 	tests := []struct {
 		name     string
 		src, dst model.TxID
@@ -66,19 +87,19 @@ func TestReachableBasic(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := g.Reachable(tt.src, tt.dst); got != tt.want {
-				t.Errorf("Reachable(%v, %v) = %v, want %v", tt.src, tt.dst, got, tt.want)
+			if got := reachable(g, tt.src, tt.dst); got != tt.want {
+				t.Errorf("reachable(%v, %v) = %v, want %v", tt.src, tt.dst, got, tt.want)
 			}
 		})
 	}
 }
 
 func TestReachableFromAny(t *testing.T) {
-	g := New()
-	mustEdge(t, g, tx(1, 0), tx(2, 0))
-	mustEdge(t, g, tx(1, 1), tx(2, 1))
-	mustEdge(t, g, tx(2, 1), tx(3, 0))
-
+	g := build(t,
+		sg.Edge{From: tx(1, 0), To: tx(2, 0)},
+		sg.Edge{From: tx(1, 1), To: tx(2, 1)},
+		sg.Edge{From: tx(2, 1), To: tx(3, 0)},
+	)
 	if !g.ReachableFromAny([]model.TxID{tx(1, 0), tx(1, 1)}, tx(3, 0)) {
 		t.Error("tx(3.0) should be reachable from {1.0, 1.1} via 1.1")
 	}
@@ -96,123 +117,78 @@ func TestReachableFromAny(t *testing.T) {
 }
 
 func TestApplyDelta(t *testing.T) {
-	g := New()
-	d := Delta{
+	g := sg.New()
+	d := sg.Delta{
 		Cycle: 2,
 		Nodes: []model.TxID{tx(2, 0), tx(2, 1)},
-		Edges: []Edge{{tx(2, 0), tx(2, 1)}},
+		Edges: []sg.Edge{{From: tx(2, 0), To: tx(2, 1)}},
 	}
 	if err := g.Apply(d); err != nil {
 		t.Fatal(err)
 	}
-	if g.NodeCount() != 2 || g.EdgeCount() != 1 {
-		t.Errorf("after Apply: %d nodes %d edges, want 2/1", g.NodeCount(), g.EdgeCount())
+	if !reachable(g, tx(2, 0), tx(2, 1)) {
+		t.Error("applied edge 2.0 -> 2.1 not reachable")
 	}
-	bad := Delta{Cycle: 3, Edges: []Edge{{tx(3, 0), tx(2, 0)}}}
+	bad := sg.Delta{Cycle: 3, Edges: []sg.Edge{{From: tx(3, 0), To: tx(2, 0)}}}
 	if err := g.Apply(bad); err == nil {
 		t.Error("Apply with backward edge succeeded, want error")
 	}
 }
 
 func TestPruneBefore(t *testing.T) {
-	g := New()
-	mustEdge(t, g, tx(1, 0), tx(2, 0))
-	mustEdge(t, g, tx(2, 0), tx(3, 0))
-	mustEdge(t, g, tx(3, 0), tx(4, 0))
-
+	g := build(t,
+		sg.Edge{From: tx(1, 0), To: tx(2, 0)},
+		sg.Edge{From: tx(2, 0), To: tx(3, 0)},
+		sg.Edge{From: tx(3, 0), To: tx(4, 0)},
+	)
+	if !reachable(g, tx(1, 0), tx(4, 0)) {
+		t.Fatal("chain 1.0 -> 4.0 not reachable before prune")
+	}
 	g.PruneBefore(3)
-	if g.HasNode(tx(1, 0)) || g.HasNode(tx(2, 0)) {
-		t.Error("pruned nodes still present")
-	}
-	if !g.HasNode(tx(3, 0)) || !g.HasNode(tx(4, 0)) {
-		t.Error("retained nodes missing after prune")
-	}
-	if got := g.MinRetainedCycle(); got != 3 {
-		t.Errorf("MinRetainedCycle() = %v, want 3", got)
-	}
-	if !g.Reachable(tx(3, 0), tx(4, 0)) {
+	if !reachable(g, tx(3, 0), tx(4, 0)) {
 		t.Error("retained edge lost by prune")
 	}
-	// Destinations in the pruned region are unreachable by construction.
-	if g.Reachable(tx(3, 0), tx(2, 0)) {
+	// Sources and destinations in the pruned region have no retained
+	// edges.
+	if reachable(g, tx(1, 0), tx(4, 0)) || reachable(g, tx(2, 0), tx(3, 0)) {
+		t.Error("path through a pruned source reported reachable")
+	}
+	if reachable(g, tx(2, 0), tx(2, 0)) {
 		t.Error("pruned destination reported reachable")
 	}
 	// Pruning never moves backwards.
 	g.PruneBefore(1)
-	if got := g.MinRetainedCycle(); got != 3 {
-		t.Errorf("MinRetainedCycle() after backward prune = %v, want 3", got)
+	if reachable(g, tx(2, 0), tx(3, 0)) {
+		t.Error("backward prune restored a pruned edge")
 	}
-	// New nodes in pruned cycles are ignored.
-	g.EnsureNode(tx(2, 7))
-	if g.HasNode(tx(2, 7)) {
-		t.Error("node in pruned cycle was added")
+	// A later delta's edges from pruned sources are skipped; its other
+	// edges count.
+	if err := g.Apply(sg.Delta{Cycle: 5, Nodes: nodes(5, 1), Edges: []sg.Edge{
+		{From: tx(2, 7), To: tx(5, 0)},
+		{From: tx(4, 0), To: tx(5, 0)},
+	}}); err != nil {
+		t.Fatal(err)
 	}
-	// Edges whose source is pruned are dropped without error.
-	if err := g.AddEdge(tx(2, 7), tx(5, 0)); err != nil {
-		t.Errorf("edge from pruned cycle returned error: %v", err)
+	if reachable(g, tx(2, 7), tx(5, 0)) {
+		t.Error("edge from a pruned source reported reachable")
 	}
-	if g.HasNode(tx(2, 7)) {
-		t.Error("pruned-source edge created its source node")
+	if !reachable(g, tx(3, 0), tx(5, 0)) {
+		t.Error("path 3.0 -> 4.0 -> 5.0 lost")
 	}
-}
-
-func TestPruneReleasesEdgeCount(t *testing.T) {
-	g := New()
-	mustEdge(t, g, tx(1, 0), tx(1, 1))
-	mustEdge(t, g, tx(1, 1), tx(2, 0))
-	before := g.EdgeCount()
-	g.PruneBefore(2)
-	if g.EdgeCount() >= before {
-		t.Errorf("EdgeCount() = %d after prune, want < %d", g.EdgeCount(), before)
+	// A delta wholly below the floor is dropped.
+	if err := g.Apply(sg.Delta{Cycle: 2, Nodes: nodes(2, 2), Edges: []sg.Edge{{From: tx(2, 0), To: tx(2, 1)}}}); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestIsAcyclicAlwaysHoldsUnderAddEdge(t *testing.T) {
-	// Random forward-ordered edges can never form a cycle (Claim 1 makes
-	// the commit order a topological order).
-	rng := rand.New(rand.NewSource(11))
-	g := New()
-	ids := make([]model.TxID, 0, 200)
-	for c := model.Cycle(1); c <= 20; c++ {
-		for s := uint32(0); s < 10; s++ {
-			ids = append(ids, tx(c, s))
-		}
-	}
-	for i := 0; i < 2000; i++ {
-		a := ids[rng.Intn(len(ids))]
-		b := ids[rng.Intn(len(ids))]
-		if a.Before(b) {
-			mustEdge(t, g, a, b)
-		}
-	}
-	if !g.IsAcyclic() {
-		t.Error("graph with forward-only edges reported cyclic")
-	}
-}
-
-func TestNodesReturnsCopy(t *testing.T) {
-	g := New()
-	g.EnsureNode(tx(1, 0))
-	g.EnsureNode(tx(1, 1))
-	n := g.Nodes(1)
-	if len(n) != 2 {
-		t.Fatalf("Nodes(1) len = %d, want 2", len(n))
-	}
-	n[0] = tx(9, 9)
-	n2 := g.Nodes(1)
-	for _, id := range n2 {
-		if id == tx(9, 9) {
-			t.Error("Nodes() exposed internal slice")
-		}
+	if reachable(g, tx(2, 0), tx(2, 1)) {
+		t.Error("delta below the prune floor was stored")
 	}
 }
 
 func TestReachabilityAgainstBruteForce(t *testing.T) {
-	// Differential test: DFS with the forward-order pruning must agree
-	// with a naive BFS that ignores ordering.
+	// Differential test: the backward block search must agree with a
+	// naive BFS that ignores ordering.
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
-		g := New()
 		naive := make(map[model.TxID][]model.TxID)
 		var ids []model.TxID
 		for c := model.Cycle(1); c <= 6; c++ {
@@ -220,14 +196,16 @@ func TestReachabilityAgainstBruteForce(t *testing.T) {
 				ids = append(ids, tx(c, s))
 			}
 		}
+		var es []sg.Edge
 		for i := 0; i < 60; i++ {
 			a := ids[rng.Intn(len(ids))]
 			b := ids[rng.Intn(len(ids))]
 			if a.Before(b) {
-				mustEdge(t, g, a, b)
+				es = append(es, sg.Edge{From: a, To: b})
 				naive[a] = append(naive[a], b)
 			}
 		}
+		g := build(t, es...)
 		bfs := func(src, dst model.TxID) bool {
 			if src == dst {
 				return true
@@ -252,15 +230,133 @@ func TestReachabilityAgainstBruteForce(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			a := ids[rng.Intn(len(ids))]
 			b := ids[rng.Intn(len(ids))]
-			if got, want := g.Reachable(a, b), bfs(a, b); got != want {
-				t.Fatalf("trial %d: Reachable(%v,%v) = %v, brute force %v", trial, a, b, got, want)
+			if got, want := reachable(g, a, b), bfs(a, b); got != want {
+				t.Fatalf("trial %d: reachable(%v,%v) = %v, brute force %v", trial, a, b, got, want)
 			}
 		}
 	}
 }
 
+// TestCompileRejectsWhatApplyRejects pins Compile's validation to Apply's:
+// a delta with a commit-order violation fails both, and a good delta
+// compiles to aliases of its own lists.
+func TestCompileRejectsWhatApplyRejects(t *testing.T) {
+	bad := sg.Delta{Cycle: 2, Edges: []sg.Edge{{From: tx(2, 1), To: tx(2, 0)}}}
+	if _, err := sg.Compile(bad); err == nil {
+		t.Error("backward edge compiled")
+	}
+	if err := sg.New().Apply(bad); err == nil {
+		t.Error("backward edge applied")
+	}
+	good := sg.Delta{
+		Cycle: 2,
+		Nodes: []model.TxID{tx(2, 0), tx(2, 1)},
+		Edges: []sg.Edge{
+			{From: tx(1, 0), To: tx(2, 0)},
+			{From: tx(1, 0), To: tx(2, 1)},
+			{From: tx(2, 0), To: tx(2, 1)},
+		},
+	}
+	cd, err := sg.Compile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &cd.Nodes[0] != &good.Nodes[0] || &cd.Edges[0] != &good.Edges[0] {
+		t.Error("compiled delta copied the delta's lists, want aliases")
+	}
+	naive, compiled := sg.New(), sg.New()
+	if err := naive.Apply(good); err != nil {
+		t.Fatal(err)
+	}
+	compiled.ApplyCompiled(cd)
+	for _, p := range [][2]model.TxID{{tx(1, 0), tx(2, 1)}, {tx(2, 0), tx(2, 1)}, {tx(2, 1), tx(2, 0)}} {
+		if a, b := reachable(naive, p[0], p[1]), reachable(compiled, p[0], p[1]); a != b {
+			t.Errorf("reachable(%v, %v): applied %v, compiled %v", p[0], p[1], a, b)
+		}
+	}
+}
+
+// TestCompileRejectsMalformedBlock: a delta that is not its cycle's
+// canonical in-edge block is a clean error from both Compile and Apply,
+// and Apply stores nothing of it. Each case breaks one rule of a delta
+// declaring transactions 3.0 and 3.1.
+func TestCompileRejectsMalformedBlock(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		edges []sg.Edge
+	}{
+		{"edge into another cycle", []sg.Edge{{From: tx(1, 0), To: tx(3, 0)}, {From: tx(1, 0), To: tx(4, 0)}}},
+		{"edge into an undeclared transaction", []sg.Edge{{From: tx(1, 0), To: tx(3, 0)}, {From: tx(1, 0), To: tx(3, 2)}}},
+		{"out-of-order pair", []sg.Edge{{From: tx(1, 0), To: tx(3, 1)}, {From: tx(1, 0), To: tx(3, 0)}}},
+		{"out-of-order sources", []sg.Edge{{From: tx(2, 0), To: tx(3, 0)}, {From: tx(1, 0), To: tx(3, 0)}}},
+		{"duplicate pair", []sg.Edge{{From: tx(1, 0), To: tx(3, 0)}, {From: tx(1, 0), To: tx(3, 0)}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := sg.Delta{Cycle: 3, Nodes: nodes(3, 2), Edges: tc.edges}
+			if _, err := sg.Compile(d); err == nil {
+				t.Error("Compile accepted a malformed block")
+			}
+			g := sg.New()
+			if err := g.Apply(d); err == nil {
+				t.Error("Apply accepted a malformed block")
+			}
+			if reachable(g, tc.edges[0].From, tc.edges[0].To) {
+				t.Error("a rejected block was stored")
+			}
+		})
+	}
+}
+
+// TestApplyCompiledMatchesApplyUnderPrune pins the equivalence the shared
+// index depends on: under a prune floor, a graph fed ApplyCompiled, one
+// fed Apply and the map oracle give the same answer for every pair, and an
+// edge whose source is below the floor counts for none of them.
+func TestApplyCompiledMatchesApplyUnderPrune(t *testing.T) {
+	d := sg.Delta{
+		Cycle: 4,
+		Nodes: []model.TxID{tx(4, 0), tx(4, 1)},
+		Edges: []sg.Edge{
+			{From: tx(2, 0), To: tx(4, 0)}, // pruned source: skipped
+			{From: tx(3, 0), To: tx(4, 0)},
+			{From: tx(4, 0), To: tx(4, 1)},
+		},
+	}
+	cd, err := sg.Compile(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, compiled, oracle := sg.New(), sg.New(), sgtest.New()
+	naive.PruneBefore(3)
+	compiled.PruneBefore(3)
+	oracle.PruneBefore(3)
+	if err := naive.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	compiled.ApplyCompiled(cd)
+	if err := oracle.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	ids := []model.TxID{tx(2, 0), tx(3, 0), tx(4, 0), tx(4, 1)}
+	for _, a := range ids {
+		for _, b := range ids {
+			want := oracle.Reachable(a, b)
+			if got := reachable(naive, a, b); got != want {
+				t.Errorf("applied: reachable(%v, %v) = %v, oracle %v", a, b, got, want)
+			}
+			if got := reachable(compiled, a, b); got != want {
+				t.Errorf("compiled: reachable(%v, %v) = %v, oracle %v", a, b, got, want)
+			}
+		}
+	}
+	if reachable(compiled, tx(2, 0), tx(4, 1)) {
+		t.Error("pruned-source edge counted")
+	}
+	if !reachable(compiled, tx(3, 0), tx(4, 1)) {
+		t.Error("surviving path 3.0 -> 4.0 -> 4.1 lost")
+	}
+}
+
 func BenchmarkReachable(b *testing.B) {
-	g := New()
 	rng := rand.New(rand.NewSource(5))
 	var ids []model.TxID
 	for c := model.Cycle(1); c <= 50; c++ {
@@ -268,105 +364,18 @@ func BenchmarkReachable(b *testing.B) {
 			ids = append(ids, tx(c, s))
 		}
 	}
+	var es []sg.Edge
 	for i := 0; i < 5000; i++ {
 		a := ids[rng.Intn(len(ids))]
 		c := ids[rng.Intn(len(ids))]
 		if a.Before(c) {
-			_ = g.AddEdge(a, c)
+			es = append(es, sg.Edge{From: a, To: c})
 		}
 	}
+	g := build(b, es...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Reachable(ids[i%100], ids[len(ids)-1-(i%100)])
-	}
-}
-
-func mustEdge(t *testing.T, g *Graph, from, to model.TxID) {
-	t.Helper()
-	if err := g.AddEdge(from, to); err != nil {
-		t.Fatalf("AddEdge(%v, %v): %v", from, to, err)
-	}
-}
-
-// TestCompileRejectsWhatApplyRejects pins Compile's validation to AddEdge's:
-// a delta with a commit-order violation must fail compilation.
-func TestCompileRejectsWhatApplyRejects(t *testing.T) {
-	bad := Delta{Cycle: 3, Edges: []Edge{{From: tx(2, 1), To: tx(2, 0)}}}
-	if _, err := Compile(bad); err == nil {
-		t.Error("backward edge compiled")
-	}
-	if err := New().Apply(bad); err == nil {
-		t.Error("backward edge applied")
-	}
-	good := Delta{
-		Cycle: 3,
-		Nodes: []model.TxID{tx(2, 0), tx(2, 0), tx(2, 1)},
-		Edges: []Edge{
-			{From: tx(1, 0), To: tx(2, 0)},
-			{From: tx(1, 0), To: tx(2, 0)}, // duplicate: collapses at apply time
-			{From: tx(1, 0), To: tx(2, 1)},
-			{From: tx(2, 0), To: tx(2, 1)},
-		},
-	}
-	cd, err := Compile(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compile does not deduplicate — nodes and edges alias the declared
-	// lists, duplicate included.
-	if len(cd.Nodes) != 3 || len(cd.Edges) != 4 {
-		t.Errorf("compiled nodes=%d edges=%d, want 3/4", len(cd.Nodes), len(cd.Edges))
-	}
-	// The duplicate must still collapse when applied: same counts as Apply.
-	naive, compiled := New(), New()
-	if err := naive.Apply(good); err != nil {
-		t.Fatal(err)
-	}
-	compiled.ApplyCompiled(cd)
-	if naive.NodeCount() != compiled.NodeCount() || naive.EdgeCount() != compiled.EdgeCount() {
-		t.Errorf("compiled %d/%d nodes/edges, naive %d/%d",
-			compiled.NodeCount(), compiled.EdgeCount(), naive.NodeCount(), naive.EdgeCount())
-	}
-}
-
-// TestApplyCompiledMatchesApplyUnderPrune pins the subtle equivalence the
-// shared index depends on: ApplyCompiled must replicate Apply's prune
-// semantics exactly — declared nodes always materialize (subject to the
-// node-level prune filter), but edge endpoints materialize only when their
-// edge's *source* survives the floor, because AddEdge drops pruned-source
-// edges before touching either endpoint.
-func TestApplyCompiledMatchesApplyUnderPrune(t *testing.T) {
-	d := Delta{
-		Cycle: 5,
-		Nodes: []model.TxID{tx(4, 0)},
-		Edges: []Edge{
-			{From: tx(2, 0), To: tx(4, 0)}, // pruned source: dropped, endpoint untouched
-			{From: tx(4, 0), To: tx(4, 1)}, // survives: both endpoints materialize
-		},
-	}
-	cd, err := Compile(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, compiled := New(), New()
-	naive.PruneBefore(3)
-	compiled.PruneBefore(3)
-	if err := naive.Apply(d); err != nil {
-		t.Fatal(err)
-	}
-	compiled.ApplyCompiled(cd)
-	if naive.NodeCount() != compiled.NodeCount() || naive.EdgeCount() != compiled.EdgeCount() {
-		t.Fatalf("compiled %d/%d nodes/edges, naive %d/%d",
-			compiled.NodeCount(), compiled.EdgeCount(), naive.NodeCount(), naive.EdgeCount())
-	}
-	if compiled.HasNode(tx(2, 0)) {
-		t.Error("pruned edge source materialized")
-	}
-	if !compiled.HasNode(tx(4, 1)) {
-		t.Error("surviving edge target missing")
-	}
-	if got := compiled.EdgeCount(); got != 1 {
-		t.Errorf("EdgeCount = %d, want 1 (pruned-source edge dropped)", got)
+		reachable(g, ids[i%100], ids[len(ids)-1-(i%100)])
 	}
 }
