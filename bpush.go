@@ -115,13 +115,6 @@ type (
 	Feed = client.Feed
 	// Becast is the content of one broadcast cycle.
 	Becast = broadcast.Bcast
-	// CycleIndex is the shared, immutable control-info index a cycle
-	// producer primes on each becast (broadcast.CycleIndex): the
-	// invalidation report in indexed form, the compiled SG delta, and the
-	// overflow span table, consumed read-only by every scheme instead of
-	// being rebuilt per client. Becasts decoded from network frames carry
-	// none and schemes rebuild the same structures locally.
-	CycleIndex = broadcast.CycleIndex
 )
 
 // NewClient creates a client runtime over a feed.

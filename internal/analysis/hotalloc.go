@@ -33,8 +33,8 @@ const hotpathPrefix = "//lint:hotpath"
 //     functions.
 //
 // The fix is scratch reuse — allocate once per owner, reset per cycle
-// (the reportView pattern: clear() maps, re-slice [:0], generation
-// stamps) — not suppression; //lint:allow hotalloc is for allocations
+// (the sg.Graph pattern: grow to a high-water mark, re-slice [:0],
+// generation stamps) — not suppression; //lint:allow hotalloc is for allocations
 // that are genuinely once-per-cycle-amortized or on cold branches.
 // Allocations inside an `if x == nil` lazy-init guard are exempt: that
 // is the asked-for once-per-owner shape.

@@ -18,6 +18,7 @@ package broadcast
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"bpush/internal/model"
@@ -54,7 +55,8 @@ type OldVersion struct {
 // Bcast is the full content of one broadcast cycle.
 type Bcast struct {
 	Cycle model.Cycle
-	// Report is the invalidation report, ascending by item.
+	// Report is the invalidation report, strictly ascending by item:
+	// the report queries (report.go) binary-search it.
 	Report []InvalidationEntry
 	// Delta is the serialization-graph difference broadcast for SGT.
 	Delta sg.Delta
@@ -85,9 +87,12 @@ type Bcast struct {
 	// run (broadcast-disk repeats, shuffled programs).
 	positions map[model.ItemID][]int
 
-	// sharedIndex holds the once-derived control-info index (see
-	// CycleIndex); nil until PrimeIndex. Decoded frames never carry one.
-	sharedIndex atomic.Pointer[CycleIndex]
+	// PrimeIndex's result: Delta checked by sg.Compile, or deltaErr its
+	// rejection, set once under primeMu before primed is stored.
+	primeMu  sync.Mutex
+	primed   atomic.Bool
+	delta    sg.CompiledDelta
+	deltaErr error
 }
 
 // Program is the order in which items occupy data-segment slots. A flat
@@ -225,7 +230,8 @@ func contiguous(entries []Entry) bool {
 // New reconstructs a becast from its parts (the wire decoder's entry
 // point). Slot positions follow from the entry order: arithmetic for a
 // contiguous run, a map otherwise. totalItems may be 0, in which case the
-// becast is assumed complete.
+// becast is assumed complete. The report must be strictly ascending by
+// item, as every producer airs it: the report queries search it.
 func New(cycle model.Cycle, report []InvalidationEntry, delta sg.Delta, entries []Entry, overflow []OldVersion, numCommitted, totalItems int) (*Bcast, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("broadcast: empty data segment")
@@ -243,6 +249,11 @@ func New(cycle model.Cycle, report []InvalidationEntry, delta sg.Delta, entries 
 	for i, e := range entries {
 		if int(e.Overflow) >= len(overflow) || e.Overflow < -1 {
 			return nil, fmt.Errorf("broadcast: slot %d overflow pointer %d out of range", i, e.Overflow)
+		}
+	}
+	for i := 1; i < len(report); i++ {
+		if report[i].Item <= report[i-1].Item {
+			return nil, fmt.Errorf("broadcast: report line %d (%v) not after %v", i, report[i].Item, report[i-1].Item)
 		}
 	}
 	b.first, b.positions = indexPositions(entries)
@@ -308,9 +319,6 @@ func (b *Bcast) Items() int {
 	return len(b.positions)
 }
 
-// OnAir reports whether item occupies a data slot this cycle.
-func (b *Bcast) OnAir(item model.ItemID) bool { return b.Position(item) >= 0 }
-
 // InDatabase reports whether item is a valid database item, whether or
 // not it is on air this cycle (h-interval chunks carry a subset).
 func (b *Bcast) InDatabase(item model.ItemID) bool {
@@ -358,25 +366,4 @@ func (b *Bcast) ReadCurrent(item model.ItemID) (model.Version, error) {
 		return model.Version{}, fmt.Errorf("broadcast: %v not in program", item)
 	}
 	return b.Entries[p].Version, nil
-}
-
-// BestVersionAtOrBefore returns the newest on-air version of item with
-// version cycle <= c0, the multiversion read rule of §3.2, and whether the
-// read would be served from the overflow segment. ok is false when no
-// on-air version is old enough (the transaction's span exceeded S).
-func (b *Bcast) BestVersionAtOrBefore(item model.ItemID, c0 model.Cycle) (v model.Version, fromOverflow, ok bool) {
-	p := b.Position(item)
-	if p < 0 {
-		return model.Version{}, false, false
-	}
-	cur := b.Entries[p].Version
-	if cur.Cycle <= c0 {
-		return cur, false, true
-	}
-	for _, ov := range b.OldVersionsOf(item) {
-		if ov.Version.Cycle <= c0 {
-			return ov.Version, true, true
-		}
-	}
-	return model.Version{}, false, false
 }

@@ -157,6 +157,29 @@ func TestPositionsFixedAcrossCycles(t *testing.T) {
 	}
 }
 
+// bestVersionAtOrBefore applies the multiversion read rule of §3.2 to
+// b through its slot lookup and overflow walk, as the multiversion
+// scheme does: the newest on-air version of item with version cycle
+// <= c0, and whether it is served from the overflow segment. ok is false
+// when no on-air version is old enough (the span exceeded S).
+func bestVersionAtOrBefore(b *Bcast, item model.ItemID, c0 model.Cycle) (v model.Version, fromOverflow, ok bool) {
+	p := b.Position(item)
+	if p < 0 {
+		return model.Version{}, false, false
+	}
+	if cur := b.Entries[p].Version; cur.Cycle <= c0 {
+		return cur, false, true
+	}
+	for _, ov := range b.OldVersionsOf(item) {
+		if ov.Version.Cycle <= c0 {
+			return ov.Version, true, true
+		}
+	}
+	return model.Version{}, false, false
+}
+
+// TestBestVersionAtOrBefore pins the overflow layout against the §3.2
+// read rule: the current version, then older versions newest first.
 func TestBestVersionAtOrBefore(t *testing.T) {
 	srv := newServer(t, 4, 4)
 	commit(t, srv, 1) // item1 version cycle 2
@@ -181,7 +204,7 @@ func TestBestVersionAtOrBefore(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			v, fromOv, ok := b.BestVersionAtOrBefore(1, tt.c0)
+			v, fromOv, ok := bestVersionAtOrBefore(b, 1, tt.c0)
 			if ok != tt.wantOK {
 				t.Fatalf("ok = %v, want %v", ok, tt.wantOK)
 			}
@@ -190,7 +213,7 @@ func TestBestVersionAtOrBefore(t *testing.T) {
 			}
 		})
 	}
-	if _, _, ok := b.BestVersionAtOrBefore(99, 4); ok {
+	if _, _, ok := bestVersionAtOrBefore(b, 99, 4); ok {
 		t.Error("unknown item served")
 	}
 }
@@ -212,7 +235,7 @@ func TestBestVersionMissesWhenTooOld(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Start cycle far in the past: no retained version is old enough.
-	if _, _, ok := b.BestVersionAtOrBefore(1, 2); ok {
+	if _, _, ok := bestVersionAtOrBefore(b, 1, 2); ok {
 		t.Error("version older than retention window served; want miss")
 	}
 }

@@ -22,19 +22,19 @@ func TestAssembleChunkPartialCoverage(t *testing.T) {
 	}
 	// On-air vs in-database distinction, the §7 chunking contract.
 	tests := []struct {
-		item      model.ItemID
-		wantOnAir bool
-		wantInDB  bool
+		item     model.ItemID
+		wantPos  int
+		wantInDB bool
 	}{
-		{item: 3, wantOnAir: true, wantInDB: true},
-		{item: 7, wantOnAir: false, wantInDB: true},
-		{item: 10, wantOnAir: false, wantInDB: true},
-		{item: 11, wantOnAir: false, wantInDB: false},
-		{item: 0, wantOnAir: false, wantInDB: false},
+		{item: 3, wantPos: 2, wantInDB: true},
+		{item: 7, wantPos: -1, wantInDB: true},
+		{item: 10, wantPos: -1, wantInDB: true},
+		{item: 11, wantPos: -1, wantInDB: false},
+		{item: 0, wantPos: -1, wantInDB: false},
 	}
 	for _, tt := range tests {
-		if got := b.OnAir(tt.item); got != tt.wantOnAir {
-			t.Errorf("OnAir(%v) = %v, want %v", tt.item, got, tt.wantOnAir)
+		if got := b.Position(tt.item); got != tt.wantPos {
+			t.Errorf("Position(%v) = %v, want %v", tt.item, got, tt.wantPos)
 		}
 		if got := b.InDatabase(tt.item); got != tt.wantInDB {
 			t.Errorf("InDatabase(%v) = %v, want %v", tt.item, got, tt.wantInDB)
@@ -42,11 +42,7 @@ func TestAssembleChunkPartialCoverage(t *testing.T) {
 	}
 	// The report still covers the whole database: item 7 was updated
 	// even though it is not in this chunk.
-	x, err := b.PrimeIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.Invalidates(7, 1) {
+	if !b.Invalidates(7, 1) {
 		t.Error("report dropped an off-chunk update")
 	}
 }
@@ -105,8 +101,8 @@ func TestChunkedVersionsStillServable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The chunk carries item 2's overflow versions like a full becast.
-	v, fromOverflow, ok := b.BestVersionAtOrBefore(2, 2)
+	v, fromOverflow, ok := bestVersionAtOrBefore(b, 2, 2)
 	if !ok || !fromOverflow || v.Cycle != 2 {
-		t.Errorf("BestVersionAtOrBefore = %+v overflow=%v ok=%v, want cycle-2 overflow hit", v, fromOverflow, ok)
+		t.Errorf("bestVersionAtOrBefore = %+v overflow=%v ok=%v, want cycle-2 overflow hit", v, fromOverflow, ok)
 	}
 }

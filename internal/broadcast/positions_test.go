@@ -54,22 +54,6 @@ func (o positionsOracle) oldVersionsOf(item model.ItemID) []OldVersion {
 	return o.b.Overflow[off:end]
 }
 
-func (o positionsOracle) bestVersionAtOrBefore(item model.ItemID, c0 model.Cycle) (model.Version, bool, bool) {
-	p := o.position(item)
-	if p < 0 {
-		return model.Version{}, false, false
-	}
-	if cur := o.b.Entries[p].Version; cur.Cycle <= c0 {
-		return cur, false, true
-	}
-	for _, ov := range o.oldVersionsOf(item) {
-		if ov.Version.Cycle <= c0 {
-			return ov.Version, true, true
-		}
-	}
-	return model.Version{}, false, false
-}
-
 // Program shapes FuzzPositions draws from.
 const (
 	shapeFlat     = iota // items 1..n
@@ -203,9 +187,6 @@ func FuzzPositions(f *testing.F) {
 			if got, want := b.Position(item), o.position(item); got != want {
 				t.Fatalf("program %v: Position(%d) = %d, oracle %d", program, item, got, want)
 			}
-			if got, want := b.OnAir(item), o.position(item) >= 0; got != want {
-				t.Fatalf("program %v: OnAir(%d) = %v, oracle %v", program, item, got, want)
-			}
 			for pos := -1; pos <= len(b.Entries)+1; pos++ {
 				if got, want := b.NextPosition(item, pos), o.nextPosition(item, pos); got != want {
 					t.Fatalf("program %v: NextPosition(%d, %d) = %d, oracle %d", program, item, pos, got, want)
@@ -227,14 +208,6 @@ func FuzzPositions(f *testing.F) {
 				}
 			} else if err != nil || v != b.Entries[p].Version {
 				t.Fatalf("program %v: ReadCurrent(%d) = %v, %v, oracle %v", program, item, v, err, b.Entries[p].Version)
-			}
-			for c0 := model.Cycle(0); c0 <= 10; c0++ {
-				gv, gov, gok := b.BestVersionAtOrBefore(item, c0)
-				wv, wov, wok := o.bestVersionAtOrBefore(item, c0)
-				if gv != wv || gov != wov || gok != wok {
-					t.Fatalf("program %v: BestVersionAtOrBefore(%d, %d) = %v %v %v, oracle %v %v %v",
-						program, item, c0, gv, gov, gok, wv, wov, wok)
-				}
 			}
 		}
 	})

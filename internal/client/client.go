@@ -22,12 +22,11 @@ import (
 // simulator implements it by driving the server; the network client
 // implements it by decoding frames from a TCP stream.
 //
-// The client runtime is a pure pass-through for the shared per-cycle
-// control-info index (broadcast.CycleIndex): becasts flow from the feed
-// to the scheme untouched, so a becast primed by the producer reaches the
-// scheme still carrying its index, and a becast decoded from a network
-// frame (which never carries one) makes the scheme rebuild the same
-// structures locally. Either way the runtime's behavior is identical.
+// The client runtime is a pure pass-through: becasts flow from the feed
+// to the scheme untouched, and the scheme reads each cycle's control
+// information in place, whether the producer primed the becast or it was
+// decoded from a network frame. Either way the runtime's behavior is
+// identical.
 type Feed interface {
 	// Next blocks until the next becast and returns it.
 	Next() (*broadcast.Bcast, error)

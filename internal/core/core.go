@@ -450,147 +450,3 @@ func (t *txn) has(item model.ItemID) bool {
 // reset keeps the meta scratch (see begin) but drops everything else —
 // reads escaped through Info.Reads at commit.
 func (t *txn) reset() { *t = txn{meta: t.meta[:0]} }
-
-// reportView answers "was this item invalidated this cycle?" under either
-// item or bucket granularity (§7). Bucket granularity assumes the flat
-// program, where item i occupies data slot i-1. Iteration (each) follows
-// the report's ascending item order so cache maintenance is deterministic.
-//
-// A reportView is the *local* build path: each scheme owns one and
-// refills it per cycle, reusing its slices and maps as scratch so the
-// rebuild allocates nothing in steady state. Schemes only fall back to it
-// when the becast carries no shared CycleIndex (see cycleView).
-type reportView struct {
-	ordered     []model.ItemID // ascending, from the report
-	items       map[model.ItemID]model.TxID
-	buckets     map[int]struct{}
-	granularity int
-	done        map[int]struct{} // each()'s bucket-dedup scratch, reused
-}
-
-// reset refills the view from b's invalidation report, reusing the
-// previous cycle's allocations.
-func (v *reportView) reset(b *broadcast.Bcast, granularity int) {
-	v.granularity = granularity
-	v.ordered = v.ordered[:0]
-	if v.items == nil {
-		v.items = make(map[model.ItemID]model.TxID, len(b.Report))
-	} else {
-		clear(v.items)
-	}
-	for _, e := range b.Report {
-		//lint:allow hotalloc ordered is owner-retained [:0] scratch; capacity amortizes to the report size
-		v.ordered = append(v.ordered, e.Item)
-		//lint:allow hotalloc items is owner-retained and clear()-reused; buckets amortize to steady state
-		v.items[e.Item] = e.FirstWriter
-	}
-	if granularity > 1 {
-		if v.buckets == nil {
-			v.buckets = make(map[int]struct{}, len(v.ordered))
-		} else {
-			clear(v.buckets)
-		}
-		for _, item := range v.ordered {
-			//lint:allow hotalloc buckets is owner-retained and clear()-reused; buckets amortize to steady state
-			v.buckets[(int(item)-1)/granularity] = struct{}{}
-		}
-	}
-}
-
-// invalidates reports whether the view invalidates item.
-func (v *reportView) invalidates(item model.ItemID) bool {
-	if v.granularity > 1 {
-		_, ok := v.buckets[(int(item)-1)/v.granularity]
-		return ok
-	}
-	_, ok := v.items[item]
-	return ok
-}
-
-// each calls fn for every item the view invalidates, in ascending item
-// order. Under bucket granularity that is every item sharing a bucket
-// with an updated item; db bounds the expansion.
-func (v *reportView) each(db int, fn func(model.ItemID)) {
-	if v.granularity <= 1 {
-		for _, item := range v.ordered {
-			fn(item)
-		}
-		return
-	}
-	if v.done == nil {
-		v.done = make(map[int]struct{}, len(v.buckets))
-	} else {
-		clear(v.done)
-	}
-	for _, item := range v.ordered {
-		bk := (int(item) - 1) / v.granularity
-		if _, dup := v.done[bk]; dup {
-			continue
-		}
-		//lint:allow hotalloc done is owner-retained and clear()-reused dedup scratch
-		v.done[bk] = struct{}{}
-		lo := bk*v.granularity + 1
-		hi := lo + v.granularity - 1
-		if hi > db {
-			hi = db
-		}
-		for i := lo; i <= hi; i++ {
-			fn(model.ItemID(i))
-		}
-	}
-}
-
-// firstWriter returns the first transaction that wrote item this cycle
-// (meaningful at item granularity only).
-func (v *reportView) firstWriter(item model.ItemID) (model.TxID, bool) {
-	t, ok := v.items[item]
-	return t, ok
-}
-
-// cycleView is a scheme's window onto the current cycle's control
-// information. When the becast carries a shared CycleIndex (primed once by
-// the cycle producer) the view consumes it read-only — the whole fleet
-// shares one set of derived structures; otherwise (decoded network frames,
-// standalone core usage) it rebuilds the local reportView, reusing the
-// scheme's scratch buffers. Both paths answer every query identically, in
-// the same deterministic order.
-type cycleView struct {
-	idx         *broadcast.CycleIndex // shared path; nil means local
-	local       reportView
-	granularity int
-}
-
-// load points the view at b's control information for this cycle.
-func (v *cycleView) load(b *broadcast.Bcast, granularity int) {
-	v.granularity = granularity
-	if v.idx = b.SharedIndex(); v.idx == nil {
-		v.local.reset(b, granularity)
-	}
-}
-
-// invalidates reports whether this cycle's report invalidates item.
-func (v *cycleView) invalidates(item model.ItemID) bool {
-	if v.idx != nil {
-		return v.idx.Invalidates(item, v.granularity)
-	}
-	return v.local.invalidates(item)
-}
-
-// each calls fn for every invalidated item, in report order; db bounds
-// the bucket expansion (callers pass the data-segment length, which is
-// also the bound the shared index precomputed with).
-func (v *cycleView) each(db int, fn func(model.ItemID)) {
-	if v.idx != nil {
-		v.idx.EachInvalidated(v.granularity, fn)
-		return
-	}
-	v.local.each(db, fn)
-}
-
-// firstWriter returns the first transaction that wrote item this cycle.
-func (v *cycleView) firstWriter(item model.ItemID) (model.TxID, bool) {
-	if v.idx != nil {
-		return v.idx.FirstWriter(item)
-	}
-	return v.local.firstWriter(item)
-}

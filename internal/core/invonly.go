@@ -31,7 +31,6 @@ type invOnly struct {
 	prev   *broadcast.Bcast
 	cache  *cache.Cache // nil when cacheless
 	t      txn
-	view   cycleView   // this cycle's report view (shared index or local scratch)
 	marked model.Cycle // u: cycle of the first readset invalidation (0 = fresh)
 
 	// invalidate is the per-cycle cache-invalidation callback, built
@@ -122,16 +121,15 @@ func (s *invOnly) NewCycle(b *broadcast.Bcast) error {
 		s.prev, s.cur = s.cur, b
 		autoprefetch(s.cache, s.prev)
 	}
-	s.view.load(b, s.opts.BucketGranularity)
 	if s.cache != nil {
-		s.view.each(len(b.Entries), s.invalidate)
+		b.EachInvalidated(s.opts.BucketGranularity, s.invalidate)
 	}
 	if s.t.active && s.t.doomed == nil {
 		// Sorted readset walk: the abort reason names the first invalidated
 		// item, which must not depend on map-iteration order.
 		s.keyScratch = det.AppendSortedKeys(s.keyScratch[:0], s.t.readset)
 		for _, item := range s.keyScratch {
-			if s.view.invalidates(item) {
+			if b.Invalidates(item, s.opts.BucketGranularity) {
 				if s.versioned {
 					recordInvHit(s.opts.Recorder, b.Cycle, item, "marked")
 					if s.marked == 0 {

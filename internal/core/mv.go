@@ -155,12 +155,8 @@ func (s *mvBroadcast) ServeChannel(item model.ItemID, pos int) (Read, int, error
 		return s.deliver(item, entry.Version, SourceBroadcast, slot), slot, nil
 	}
 	// Walk the overflow chain for the newest version at or before c0
-	// (versions are stored newest-first). With a shared CycleIndex primed
-	// on the becast the group is located through the precomputed span
-	// table instead of re-scanning the overflow segment per client; both
-	// paths return the identical slice.
-	olds := s.cur.OldVersionsIndexed(item)
-	for i, ov := range olds {
+	// (versions are stored newest-first).
+	for i, ov := range s.cur.OldVersionsOf(item) {
 		if ov.Version.Cycle <= s.t.start {
 			ovSlot := s.cur.OverflowSlot(int(entry.Overflow) + i)
 			if ovSlot < pos {

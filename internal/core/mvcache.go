@@ -25,7 +25,6 @@ type mvCache struct {
 	prev  *broadcast.Bcast
 	multi *cache.MultiCache
 	t     txn
-	view  cycleView   // this cycle's report view (shared index or local scratch)
 	cu    model.Cycle // first cycle an item of the readset was invalidated
 
 	// invalidate is the per-cycle invalidation callback, built once at
@@ -114,15 +113,14 @@ func (s *mvCache) NewCycle(b *broadcast.Bcast) error {
 			}
 		}
 	}
-	s.view.load(b, s.opts.BucketGranularity)
 	s.invCycle = b.Cycle
-	s.view.each(len(b.Entries), s.invalidate)
+	b.EachInvalidated(s.opts.BucketGranularity, s.invalidate)
 	if s.t.active && s.t.doomed == nil && s.cu == 0 {
 		// Sorted readset walk: the degradation event names the first
 		// invalidated item, which must not depend on map-iteration order.
 		s.keyScratch = det.AppendSortedKeys(s.keyScratch[:0], s.t.readset)
 		for _, item := range s.keyScratch {
-			if s.view.invalidates(item) {
+			if b.Invalidates(item, s.opts.BucketGranularity) {
 				recordInvHit(s.opts.Recorder, b.Cycle, item, "degraded")
 				s.cu = b.Cycle
 				break

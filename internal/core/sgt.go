@@ -34,8 +34,7 @@ type sgt struct {
 	prev   *broadcast.Bcast
 	cache  *cache.Cache // nil when cacheless
 	t      txn
-	view   cycleView // this cycle's report view (shared index or local scratch)
-	resync bool      // a cycle was missed; the next NewCycle may jump
+	resync bool // a cycle was missed; the next NewCycle may jump
 
 	// targets are R's precedence targets (the heads of its outgoing
 	// edges), without duplicates, in the order they were found.
@@ -132,16 +131,14 @@ func (s *sgt) NewCycle(b *broadcast.Bcast) error {
 		floor = s.invalidFrom
 	}
 	s.graph.PruneBefore(floor)
-	s.view.load(b, 1) // SGT is defined at item granularity
-	if idx := s.view.idx; idx != nil {
-		// Shared path: the delta was checked once, when the producer
-		// compiled the index; the graph stores the block as it is.
-		if cd := idx.Delta(); cd != nil {
-			s.graph.ApplyCompiled(cd)
-		}
-	} else if err := s.graph.Apply(b.Delta); err != nil {
+	// The delta is checked once per becast: by the producer before it
+	// shares the cycle, or here for a becast decoded from a frame. The
+	// graph stores the checked block as it is.
+	cd, err := b.PrimeIndex()
+	if err != nil {
 		return fmt.Errorf("core: integrate SG delta: %w", err)
 	}
+	s.graph.ApplyCompiled(cd)
 
 	if s.cache != nil {
 		for _, e := range b.Report {
@@ -153,10 +150,7 @@ func (s *sgt) NewCycle(b *broadcast.Bcast) error {
 		// downstream ordering) must not inherit map-iteration order.
 		s.keyScratch = det.AppendSortedKeys(s.keyScratch[:0], s.t.readset)
 		for _, item := range s.keyScratch {
-			if !s.view.invalidates(item) {
-				continue
-			}
-			tf, ok := s.view.firstWriter(item)
+			tf, ok := b.FirstWriter(item) // SGT is defined at item granularity
 			if !ok {
 				continue
 			}

@@ -124,8 +124,9 @@ func sgtSteadyAllocs(t *testing.T, edges int, shared bool) (newCycle, cycleTest 
 // TestSGTNewCycleAllocsFlatInEdges pins SGT's per-cycle graph work to no
 // allocation: the delta is stored as its cycle's block, not copied into
 // adjacency lists, so a cycle of 2,000 in-edges costs NewCycle what one of
-// 100 does, on the shared-index path and on the local path that checks
-// the block itself. The cycle test allocates nothing either.
+// 100 does, on a becast the producer primed ("shared") and on one the
+// scheme primes itself, as it does a decoded frame ("local"). The cycle
+// test allocates nothing either.
 func TestSGTNewCycleAllocsFlatInEdges(t *testing.T) {
 	for _, shared := range []bool{true, false} {
 		name := "local"

@@ -23,9 +23,8 @@
 // appended before it is published (GetFrame hands that frame on, so the
 // air reuses the logged bytes), Config.MemCycles bounds the in-memory
 // window to the hottest suffix (cold cycles are served transparently
-// from disk — decoded frames are unindexed, exactly like
-// network-received becasts, which the shared-index differential suite
-// proves is invisible), and a source reopened over the same directory
+// from disk, decoded like network-received becasts; the shared-index
+// differential suite proves the path is invisible), and a source reopened over the same directory
 // resumes production at the next cycle, byte-identical to one that never
 // stopped.
 package cyclesource
@@ -321,9 +320,8 @@ func workerCount(w int) int {
 // have not been produced yet. Becasts are immutable once returned. Cycles
 // inside the in-memory window are returned directly; cycles that spilled
 // to disk (or predate a resume) are decoded from the durable log — fresh
-// and unindexed, exactly like becasts decoded from network frames, which
-// the shared-index differential suite proves is observationally
-// invisible.
+// becasts, exactly like those decoded from network frames, which the
+// shared-index differential suite proves is observationally invisible.
 func (s *Source) Get(i int) (*broadcast.Bcast, error) {
 	b, _, err := s.lookup(i)
 	return b, err
@@ -434,10 +432,10 @@ func (s *Source) produce() error {
 	if err != nil {
 		return err
 	}
-	// Derive the shared control-info index exactly once, under the
-	// production lock, before the becast is published to consumers:
-	// every client of the stream then reads the same immutable
-	// structures instead of rebuilding them per client per cycle.
+	// Check the SG delta exactly once, under the production lock, before
+	// the becast is published to consumers: every SGT client of the
+	// stream then stores the same compiled delta instead of checking it
+	// per client per cycle.
 	if _, err := b.PrimeIndex(); err != nil {
 		return err
 	}

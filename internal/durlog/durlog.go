@@ -371,7 +371,7 @@ func (l *Log) AppendFrame(frame []byte) error {
 }
 
 // ReadCycle decodes cycle i (0-based) from disk. The returned becast is
-// fresh and unindexed, exactly like one decoded from a network frame.
+// fresh and unprimed, exactly like one decoded from a network frame.
 func (l *Log) ReadCycle(i int) (*broadcast.Bcast, error) {
 	l.mu.RLock()
 	if l.closed {

@@ -73,8 +73,8 @@ func (in *Injector) NextEvent() (client.Event, error) {
 	}
 	if f.damaged != nil {
 		// A frame whose flips cancel out still decodes and is delivered
-		// as data: a fresh becast with no shared CycleIndex (indexes never
-		// cross the wire), so its scheme builds the cycle's index locally.
+		// as data: a fresh becast carrying only what the frame's bytes
+		// say, read in place like any other.
 		got, err := wire.DecodeBytes(f.damaged)
 		if err != nil {
 			return lost(b), nil

@@ -372,9 +372,9 @@ func (s *Station) Cast() *Broadcaster { return s.bc }
 
 // Source returns the station's cycle producer, e.g. to attach in-process
 // consumers to the same stream the network subscribers hear. In-process
-// consumers see the producer's shared CycleIndex on every becast; network
-// subscribers decode frames into fresh, unindexed becasts (the index
-// never crosses the wire) and rebuild the same structures locally.
+// consumers share the producer's becasts, their SG deltas already
+// checked; network subscribers decode frames into fresh becasts (nothing
+// derived crosses the wire) and check each delta on first use.
 func (s *Station) Source() *cyclesource.Source { return s.src }
 
 // Registry returns the station's live metric registry — the object the

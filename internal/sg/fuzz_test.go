@@ -59,7 +59,7 @@ func FuzzGraphVsOracle(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ring.ApplyCompiled(cd)
+				ring.ApplyCompiled(&cd)
 			} else if err := ring.Apply(d); err != nil {
 				t.Fatal(err)
 			}

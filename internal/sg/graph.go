@@ -80,7 +80,8 @@ type Delta struct {
 // immutable; any number of graphs may consume it concurrently. Compile
 // neither copies nor regroups, because the producer's own (To, From)
 // order already is the in-edge block a Graph searches: Cycle, Nodes and
-// Edges are the input Delta's.
+// Edges are the input Delta's. A becast keeps its compiled delta by value
+// (broadcast.Bcast.PrimeIndex), so compiling allocates nothing.
 type CompiledDelta struct {
 	Cycle model.Cycle
 	Nodes []model.TxID
@@ -89,14 +90,13 @@ type CompiledDelta struct {
 
 // Compile validates a broadcast delta so it can be integrated into any
 // number of client graphs with ApplyCompiled, paying the check exactly
-// once instead of once per client. It allocates nothing beyond the
-// descriptor: the compiled form aliases the delta's own slices.
-func Compile(d Delta) (*CompiledDelta, error) {
+// once instead of once per client. The compiled form aliases the delta's
+// own slices.
+func Compile(d Delta) (CompiledDelta, error) {
 	if err := check(d); err != nil {
-		return nil, err
+		return CompiledDelta{}, err
 	}
-	//lint:allow hotalloc the compiled delta is the cycle's retained product, shared by every consumer of the index
-	return &CompiledDelta{Cycle: d.Cycle, Nodes: d.Nodes, Edges: d.Edges}, nil
+	return CompiledDelta{Cycle: d.Cycle, Nodes: d.Nodes, Edges: d.Edges}, nil
 }
 
 // check is the one O(E) pass that makes a delta a well-formed in-edge

@@ -268,7 +268,7 @@ func TestCompileRejectsWhatApplyRejects(t *testing.T) {
 	if err := naive.Apply(good); err != nil {
 		t.Fatal(err)
 	}
-	compiled.ApplyCompiled(cd)
+	compiled.ApplyCompiled(&cd)
 	for _, p := range [][2]model.TxID{{tx(1, 0), tx(2, 1)}, {tx(2, 0), tx(2, 1)}, {tx(2, 1), tx(2, 0)}} {
 		if a, b := reachable(naive, p[0], p[1]), reachable(compiled, p[0], p[1]); a != b {
 			t.Errorf("reachable(%v, %v): applied %v, compiled %v", p[0], p[1], a, b)
@@ -307,8 +307,8 @@ func TestCompileRejectsMalformedBlock(t *testing.T) {
 	}
 }
 
-// TestApplyCompiledMatchesApplyUnderPrune pins the equivalence the shared
-// index depends on: under a prune floor, a graph fed ApplyCompiled, one
+// TestApplyCompiledMatchesApplyUnderPrune pins the equivalence the SGT
+// method's compiled deltas depend on: under a prune floor, a graph fed ApplyCompiled, one
 // fed Apply and the map oracle give the same answer for every pair, and an
 // edge whose source is below the floor counts for none of them.
 func TestApplyCompiledMatchesApplyUnderPrune(t *testing.T) {
@@ -332,7 +332,7 @@ func TestApplyCompiledMatchesApplyUnderPrune(t *testing.T) {
 	if err := naive.Apply(d); err != nil {
 		t.Fatal(err)
 	}
-	compiled.ApplyCompiled(cd)
+	compiled.ApplyCompiled(&cd)
 	if err := oracle.Apply(d); err != nil {
 		t.Fatal(err)
 	}

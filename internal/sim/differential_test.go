@@ -19,7 +19,8 @@ import (
 
 // differentialSeeds is the seed sweep of the shared-index differential
 // suite: enough seeds that every scheme path (aborts, marked continuations,
-// overflow walks, graph pruning) is exercised under both index modes.
+// overflow walks, graph pruning) is exercised on produced and on decoded
+// becasts.
 var differentialSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34}
 
 // diffRun executes cfg once and returns its metrics, the canonical JSONL
@@ -76,8 +77,8 @@ func frameDigest(t *testing.T, src *cyclesource.Source) string {
 }
 
 // decodedFeed hands its client every cycle the way a live tuner does:
-// decoded from the cycle's wire frame, so no becast it delivers carries
-// the producer's shared CycleIndex.
+// decoded from the cycle's wire frame, so every becast it delivers is a
+// fresh one that the client's scheme primes on first use.
 type decodedFeed struct{ *cyclesource.Feed }
 
 func newDecodedFeed(src *cyclesource.Source) feed { return decodedFeed{src.NewFeed()} }
@@ -94,38 +95,38 @@ func (f decodedFeed) Next() (*broadcast.Bcast, error) {
 }
 
 // assertIndexInvisible runs cfg with clients reading the source's own
-// becasts, which carry the producer's shared per-cycle index, and again
-// with clients reading decoded frames (every consumer rebuilds its
-// control-info structures from the raw becast), and requires the two
-// executions to be observationally identical: equal Metrics,
-// byte-identical JSONL traces and byte-identical frames. The shared index
-// is an optimization, never a behavior change.
+// becasts, which the producer primed and every client shares, and again
+// with clients reading decoded frames (each a fresh becast, read in place
+// and primed by its consumer), and requires the two executions to be
+// observationally identical: equal Metrics, byte-identical JSONL traces
+// and byte-identical frames. A produced becast and its decoded frame are
+// the same cycle.
 func assertIndexInvisible(t *testing.T, cfg Config) {
 	t.Helper()
 	sm, sc, ss, sf := diffRun(t, cfg)
 	lm, lc, ls, lf := diffRunFeed(t, cfg, newDecodedFeed)
 
 	if !reflect.DeepEqual(sm, lm) {
-		t.Errorf("metrics differ between shared and local index:\nshared: %+v\nlocal:  %+v", sm, lm)
+		t.Errorf("metrics differ between produced and decoded becasts:\nproduced: %+v\ndecoded:  %+v", sm, lm)
 	}
 	if len(sc) == 0 {
 		t.Fatalf("empty client trace")
 	}
 	if !bytes.Equal(sc, lc) {
-		t.Errorf("client traces differ between shared and local index (%d vs %d bytes)", len(sc), len(lc))
+		t.Errorf("client traces differ between produced and decoded becasts (%d vs %d bytes)", len(sc), len(lc))
 	}
 	if !bytes.Equal(ss, ls) {
-		t.Errorf("producer traces differ between shared and local index (%d vs %d bytes)", len(ss), len(ls))
+		t.Errorf("producer traces differ between produced and decoded becasts (%d vs %d bytes)", len(ss), len(ls))
 	}
 	if sf != lf {
-		t.Errorf("frames differ between shared and local index: digest %s vs %s", sf, lf)
+		t.Errorf("frames differ between produced and decoded becasts: digest %s vs %s", sf, lf)
 	}
 }
 
 // TestSharedIndexDifferential is the full differential sweep: every scheme,
 // at item granularity and (where the method defines it) bucket granularity,
-// across eight seeds. Shared-index and decoded-frame runs must be
-// byte-identical.
+// across eight seeds. Runs over the produced becasts and over decoded
+// frames must be byte-identical.
 func TestSharedIndexDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed differential sweep")
@@ -165,11 +166,10 @@ func TestSharedIndexDifferential(t *testing.T) {
 	}
 }
 
-// TestSharedIndexDifferentialUnderFaults covers the fallback path the fault
-// layer forces: a corrupted frame that still decodes arrives as a fresh,
-// unindexed becast, so a chaos run mixes shared-index cycles with locally
-// rebuilt ones. The mix must still match a run where every client reads
-// decoded frames.
+// TestSharedIndexDifferentialUnderFaults covers the mix the fault layer
+// forces: a corrupted frame that still decodes arrives as a fresh becast,
+// so a chaos run mixes shared produced cycles with re-decoded ones. The
+// mix must still match a run where every client reads decoded frames.
 func TestSharedIndexDifferentialUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault differential sweep")
@@ -201,9 +201,8 @@ func TestSharedIndexDifferentialUnderFaults(t *testing.T) {
 }
 
 // TestSharedIndexDifferentialFleet extends the property to fleets: many
-// clients sharing one producer's index must produce exactly the metrics
-// and traces of a fleet where every client reads decoded frames and
-// rebuilds locally.
+// clients sharing one producer's becasts must produce exactly the metrics
+// and traces of a fleet where every client reads its own decoded frames.
 func TestSharedIndexDifferentialFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet differential")
@@ -247,15 +246,15 @@ func TestSharedIndexDifferentialFleet(t *testing.T) {
 	sharedM, sharedT, sharedF := run(sourceFeed)
 	localM, localT, localF := run(newDecodedFeed)
 	if !reflect.DeepEqual(sharedM, localM) {
-		t.Errorf("fleet metrics differ between shared and local index")
+		t.Errorf("fleet metrics differ between produced and decoded becasts")
 	}
 	if len(sharedT) == 0 {
 		t.Fatalf("empty fleet trace")
 	}
 	if !bytes.Equal(sharedT, localT) {
-		t.Errorf("fleet traces differ between shared and local index")
+		t.Errorf("fleet traces differ between produced and decoded becasts")
 	}
 	if sharedF != localF {
-		t.Errorf("fleet frames differ between shared and local index")
+		t.Errorf("fleet frames differ between produced and decoded becasts")
 	}
 }

@@ -302,7 +302,7 @@ type feed interface {
 }
 
 // sourceFeed opens a client's cursor on src: the source's own feed, whose
-// becasts carry the producer's shared CycleIndex.
+// becasts the producer primed and every client shares.
 func sourceFeed(src *cyclesource.Source) feed { return src.NewFeed() }
 
 // runClient consumes the shared cycle stream with one client, reading it

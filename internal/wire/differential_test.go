@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/iotest"
 
@@ -16,10 +17,10 @@ import (
 )
 
 // randomBcast draws a becast exercising every part of the v1 layout: any
-// D, an optional report and delta, overflow groups of 0..3 old versions,
-// and one of four programs — flat, shuffled, broadcast-disk (hot items
-// repeated, sharing one overflow group) or an h-interval chunk whose
-// TotalItems exceeds the items on air.
+// D, an optional strictly ascending report, an optional delta, overflow
+// groups of 0..3 old versions, and one of four programs — flat, shuffled,
+// broadcast-disk (hot items repeated, sharing one overflow group) or an
+// h-interval chunk whose TotalItems exceeds the items on air.
 func randomBcast(t *testing.T, rng *rand.Rand) *broadcast.Bcast {
 	t.Helper()
 	d := 1 + rng.Intn(120)
@@ -62,9 +63,13 @@ func randomBcast(t *testing.T, rng *rand.Rand) *broadcast.Bcast {
 		}
 		entries[i] = broadcast.Entry{Item: item, Overflow: int32(off), Version: version()}
 	}
+	// A report is strictly ascending by item, as every producer airs it
+	// (broadcast.New rejects any other).
+	reported := rng.Perm(d)[:rng.Intn(d+1)]
+	slices.Sort(reported)
 	var report []broadcast.InvalidationEntry
-	for n := rng.Intn(d + 1); n > 0; n-- {
-		report = append(report, broadcast.InvalidationEntry{Item: model.ItemID(1 + rng.Intn(d)), FirstWriter: tx()})
+	for _, i := range reported {
+		report = append(report, broadcast.InvalidationEntry{Item: model.ItemID(1 + i), FirstWriter: tx()})
 	}
 	delta := sg.Delta{Cycle: model.Cycle(rng.Uint64())}
 	for n := rng.Intn(20); n > 0; n-- {

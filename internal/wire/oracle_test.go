@@ -80,12 +80,8 @@ func oldEncode(b *broadcast.Bcast) ([]byte, error) {
 // from one stream; pass a *bufio.Reader for performance (Decode issues
 // many small reads).
 //
-// The shared control-info index (broadcast.CycleIndex) never crosses the
-// wire: it is derived state, reconstructible from the frame's control
-// segment, and trusting an index computed on the far side of a lossy
-// channel would couple a subscriber's correctness to bytes the checksum
-// does not cover. Decoded becasts therefore start unindexed and each
-// consumer rebuilds its view locally — identical results either way.
+// Nothing derived crosses the wire: a decoded becast carries only what
+// the frame's checksummed bytes say.
 func oldDecode(r io.Reader) (*broadcast.Bcast, error) {
 	br := r
 	var magic uint32

@@ -165,12 +165,12 @@ func appendOld(p []byte, item model.ItemID, v model.Version) []byte {
 // malformed or corrupt frame, broadcast.New's error for an intact frame
 // it rejects, and otherwise the reader's own error.
 //
-// The shared control-info index (broadcast.CycleIndex) never crosses the
-// wire: it is derived state, reconstructible from the frame's control
-// segment, and trusting an index computed on the far side of a lossy
-// channel would couple a subscriber's correctness to bytes the checksum
-// does not cover. Decoded becasts therefore start unindexed and each
-// consumer rebuilds its view locally — identical results either way.
+// Nothing derived crosses the wire: trusting state computed on the far
+// side of a lossy channel would couple a subscriber's correctness to
+// bytes the checksum does not cover. A decoded becast answers the report
+// queries in place from its control segment, and its SG delta is checked
+// on first use (broadcast.Bcast.PrimeIndex) — identical results either
+// way.
 //
 //lint:hotpath every listener decodes every cycle it hears
 func Decode(r io.Reader) (*broadcast.Bcast, error) {

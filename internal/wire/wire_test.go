@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -202,6 +203,42 @@ func TestBroadcastNewValidation(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnsortedReport pins the decoder against a report no
+// producer airs: a frame whose CRC holds but whose report is out of item
+// order or repeats an item decodes to broadcast.New's error on every byte
+// source, never to a becast whose report searches would answer wrongly.
+func TestDecodeRejectsUnsortedReport(t *testing.T) {
+	for name, mangle := range map[string]func(r []broadcast.InvalidationEntry){
+		"swapped":  func(r []broadcast.InvalidationEntry) { r[0], r[2] = r[2], r[0] },
+		"repeated": func(r []broadcast.InvalidationEntry) { r[2] = r[1] },
+	} {
+		b := buildBcast(t)
+		if len(b.Report) < 3 {
+			t.Fatalf("fixture report %v too short", b.Report)
+		}
+		mangle(b.Report)
+		frame, err := Encode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoders := map[string]func() (*broadcast.Bcast, error){
+			"DecodeBytes":  func() (*broadcast.Bcast, error) { return DecodeBytes(frame) },
+			"Decode/bufio": func() (*broadcast.Bcast, error) { return Decode(bufio.NewReader(bytes.NewReader(frame))) },
+			"Decode/plain": func() (*broadcast.Bcast, error) { return Decode(bytes.NewReader(frame)) },
+		}
+		for dname, decode := range decoders {
+			got, err := decode()
+			if err == nil {
+				t.Errorf("%s: %s decoded report %v without error", name, dname, got.Report)
+				continue
+			}
+			if errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "broadcast: report") {
+				t.Errorf("%s: %s error %q, want broadcast.New's report rejection", name, dname, err)
+			}
+		}
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
 	srv, err := server.New(server.Config{DBSize: 1000, MaxVersions: 3})
 	if err != nil {
@@ -243,10 +280,10 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // TestDecodedBecastCarriesNoIndex pins the frame format's scope: the
-// shared control-info index is derived state and never crosses the wire.
-// A primed becast encodes to the same bytes as an unprimed one, and the
-// decoded becast starts unindexed — the subscriber rebuilds locally from
-// the content the checksum actually covers.
+// checked SG delta PrimeIndex keeps is derived state and never crosses
+// the wire. A primed becast encodes to the same bytes as an unprimed one,
+// and the decoded becast answers the report queries from the content the
+// checksum covers.
 func TestDecodedBecastCarriesNoIndex(t *testing.T) {
 	b := buildBcast(t)
 	unprimed, err := Encode(b)
@@ -261,14 +298,16 @@ func TestDecodedBecastCarriesNoIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(unprimed, primed) {
-		t.Error("priming the shared index changed the encoded frame")
+		t.Error("priming the becast changed the encoded frame")
 	}
 	got, err := DecodeBytes(primed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SharedIndex() != nil {
-		t.Error("decoded becast carries a shared index")
+	for _, e := range b.Report {
+		if w, ok := got.FirstWriter(e.Item); !ok || w != e.FirstWriter {
+			t.Errorf("decoded FirstWriter(%v) = %v, %v, want %v", e.Item, w, ok, e.FirstWriter)
+		}
 	}
 }
 
