@@ -231,7 +231,8 @@ func contiguous(entries []Entry) bool {
 // point). Slot positions follow from the entry order: arithmetic for a
 // contiguous run, a map otherwise. totalItems may be 0, in which case the
 // becast is assumed complete. The report must be strictly ascending by
-// item, as every producer airs it: the report queries search it.
+// item, as every producer airs it: the report queries search it. A
+// delta that declares transactions or edges must be of this cycle.
 func New(cycle model.Cycle, report []InvalidationEntry, delta sg.Delta, entries []Entry, overflow []OldVersion, numCommitted, totalItems int) (*Bcast, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("broadcast: empty data segment")
@@ -255,6 +256,9 @@ func New(cycle model.Cycle, report []InvalidationEntry, delta sg.Delta, entries 
 		if report[i].Item <= report[i-1].Item {
 			return nil, fmt.Errorf("broadcast: report line %d (%v) not after %v", i, report[i].Item, report[i-1].Item)
 		}
+	}
+	if err := checkDeltaCycle(cycle, delta); err != nil {
+		return nil, err
 	}
 	b.first, b.positions = indexPositions(entries)
 	if b.TotalItems == 0 {

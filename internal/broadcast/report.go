@@ -111,8 +111,22 @@ func (b *Bcast) prime() {
 		return
 	}
 	var err error
-	if b.delta, err = sg.Compile(b.Delta); err != nil {
+	if err = checkDeltaCycle(b.Cycle, b.Delta); err != nil {
+		b.deltaErr = err
+	} else if b.delta, err = sg.Compile(b.Delta); err != nil {
 		b.deltaErr = fmt.Errorf("broadcast: cycle %v delta: %w", b.Cycle, err)
 	}
 	b.primed.Store(true)
+}
+
+// checkDeltaCycle rejects a delta that declares transactions or edges of
+// another cycle than its becast's. The delta describes the commits that
+// becast airs, and an SGT client sizes its graph by the delta's cycle, so
+// a far-off one would have it allocate for every cycle in between. New
+// checks it for decoded becasts and prime for ones built around New.
+func checkDeltaCycle(cycle model.Cycle, d sg.Delta) error {
+	if d.Cycle != cycle && (len(d.Nodes) > 0 || len(d.Edges) > 0) {
+		return fmt.Errorf("broadcast: cycle %v delta claims cycle %v", cycle, d.Cycle)
+	}
+	return nil
 }

@@ -246,6 +246,37 @@ func TestNewRejectsUnsortedReport(t *testing.T) {
 	}
 }
 
+// TestNewRejectsDeltaOfAnotherCycle: a delta that declares transactions
+// or edges airs with its own cycle's becast; an empty delta of any cycle
+// is no claim and passes. A becast built around New meets the same check
+// when it is primed.
+func TestNewRejectsDeltaOfAnotherCycle(t *testing.T) {
+	entries := []Entry{{Item: 1, Overflow: -1}, {Item: 2, Overflow: -1}}
+	far := model.Cycle(5 + 1<<20)
+	for _, d := range []sg.Delta{
+		{Cycle: far, Nodes: []model.TxID{{Cycle: far}}},
+		{Cycle: 4, Nodes: []model.TxID{{Cycle: 4}, {Cycle: 4, Seq: 1}}, Edges: []sg.Edge{{From: model.TxID{Cycle: 4}, To: model.TxID{Cycle: 4, Seq: 1}}}},
+		{Cycle: 6, Edges: []sg.Edge{{From: model.TxID{Cycle: 5}, To: model.TxID{Cycle: 6}}}},
+	} {
+		if _, err := New(5, nil, d, entries, nil, 0, 0); err == nil {
+			t.Errorf("New accepted a delta of cycle %v on cycle 5", d.Cycle)
+		}
+		b, err := New(5, nil, sg.Delta{}, entries, nil, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Delta = d
+		if _, err := b.PrimeIndex(); err == nil {
+			t.Errorf("PrimeIndex accepted a delta of cycle %v on cycle 5", d.Cycle)
+		}
+	}
+	for _, d := range []sg.Delta{{}, {Cycle: far}, {Cycle: 5, Nodes: []model.TxID{{Cycle: 5}}}} {
+		if _, err := New(5, nil, d, entries, nil, 0, 0); err != nil {
+			t.Errorf("New rejected delta %+v: %v", d, err)
+		}
+	}
+}
+
 // TestReportQueriesAllocateNothing pins the in-place reads at exactly 0
 // objects: membership at item and bucket granularity, both expansions,
 // and a repeated PrimeIndex.

@@ -13,8 +13,8 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
+	"slices"
 
 	"bpush/internal/model"
 )
@@ -35,8 +35,9 @@ type Entry struct {
 // concurrent use; each client owns its own cache.
 type Cache struct {
 	capacity int
-	order    *list.List // front = most recently used; values are *Entry
-	index    map[model.ItemID]*list.Element
+	order    lru[Entry] // front = most recently used
+	index    map[model.ItemID]int32
+	invalid  int // resident pages marked for autoprefetch
 	hits     int64
 	misses   int64
 }
@@ -49,8 +50,8 @@ func New(capacity int) (*Cache, error) {
 	}
 	return &Cache{
 		capacity: capacity,
-		order:    list.New(),
-		index:    make(map[model.ItemID]*list.Element, capacity),
+		order:    newLRU[Entry](capacity),
+		index:    make(map[model.ItemID]int32, capacity),
 	}, nil
 }
 
@@ -64,17 +65,17 @@ func (c *Cache) Len() int { return len(c.index) }
 // bumping its recency. The paper's read rule: "if the item is found in
 // cache and the page is not invalidated, the item is read from the cache".
 func (c *Cache) Get(item model.ItemID) (model.Version, bool) {
-	el, ok := c.index[item]
+	i, ok := c.index[item]
 	if !ok {
 		c.misses++
 		return model.Version{}, false
 	}
-	e := el.Value.(*Entry)
+	e := c.order.at(i)
 	if e.Invalid {
 		c.misses++
 		return model.Version{}, false
 	}
-	c.order.MoveToFront(el)
+	c.order.moveToFront(i)
 	c.hits++
 	return e.Version, true
 }
@@ -83,11 +84,11 @@ func (c *Cache) Get(item model.ItemID) (model.Version, bool) {
 // invalidated pages too, so callers can distinguish "resident but stale"
 // from "absent".
 func (c *Cache) Peek(item model.ItemID) (Entry, bool) {
-	el, ok := c.index[item]
+	i, ok := c.index[item]
 	if !ok {
 		return Entry{}, false
 	}
-	return *el.Value.(*Entry), true
+	return *c.order.at(i), true
 }
 
 // Put inserts or refreshes the page for item with the given version,
@@ -99,26 +100,24 @@ func (c *Cache) Put(item model.ItemID, v model.Version) (model.ItemID, bool) {
 	if c.capacity == 0 {
 		return model.InvalidItem, false
 	}
-	if el, ok := c.index[item]; ok {
-		e := el.Value.(*Entry)
+	if i, ok := c.index[item]; ok {
+		e := c.order.at(i)
+		if e.Invalid {
+			c.invalid--
+		}
 		e.Version = v
 		e.Invalid = false
-		c.order.MoveToFront(el)
+		c.order.moveToFront(i)
 		return model.InvalidItem, false
 	}
 	var evicted model.ItemID
 	var didEvict bool
 	if len(c.index) >= c.capacity {
-		back := c.order.Back()
-		if back != nil {
-			victim := back.Value.(*Entry)
-			delete(c.index, victim.Item)
-			c.order.Remove(back)
-			evicted, didEvict = victim.Item, true
-		}
+		victim := c.order.back()
+		evicted, didEvict = c.order.at(victim).Item, true
+		c.drop(victim)
 	}
-	//lint:allow hotalloc LRU admission allocates its list entry; admissions are bounded by cache churn, and pooling list.Element is not worth the aliasing risk
-	c.index[item] = c.order.PushFront(&Entry{Item: item, Version: v})
+	c.index[item] = c.order.pushFront(Entry{Item: item, Version: v})
 	return evicted, didEvict
 }
 
@@ -126,63 +125,71 @@ func (c *Cache) Put(item model.ItemID, v model.Version) (model.ItemID, bool) {
 // entry as it was before invalidation and whether the item was resident.
 // The page remains resident for autoprefetching.
 func (c *Cache) Invalidate(item model.ItemID) (Entry, bool) {
-	el, ok := c.index[item]
+	i, ok := c.index[item]
 	if !ok {
 		return Entry{}, false
 	}
-	e := el.Value.(*Entry)
+	e := c.order.at(i)
 	prev := *e
-	e.Invalid = true
+	if !e.Invalid {
+		e.Invalid = true
+		c.invalid++
+	}
 	return prev, true
 }
 
-// InvalidItems returns the resident pages currently marked for
-// autoprefetch, in recency order (most recent first). The order is
-// deterministic so that downstream refills touch the LRU list
-// reproducibly. Per-cycle hot paths should prefer AppendInvalidItems
-// with owner-retained scratch.
-func (c *Cache) InvalidItems() []model.ItemID {
-	return c.AppendInvalidItems(nil)
-}
-
-// AppendInvalidItems appends the invalidated resident pages to dst in
-// recency order and returns the extended slice — the scratch-reuse
-// variant of InvalidItems.
+// AppendInvalidItems appends the resident pages currently marked for
+// autoprefetch to dst, in recency order (most recent first), and returns
+// the extended slice. The order is deterministic so that downstream
+// refills touch the LRU list reproducibly; the walk stops once it has
+// found every invalid page. Per-cycle callers pass owner-retained
+// scratch.
 func (c *Cache) AppendInvalidItems(dst []model.ItemID) []model.ItemID {
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*Entry); e.Invalid {
-			//lint:allow hotalloc appends into caller-retained scratch; capacity amortizes to the cache's steady-state churn
-			dst = append(dst, e.Item)
+	k := len(dst)
+	dst = slices.Grow(dst, c.invalid)[:k+c.invalid]
+	for i := c.order.front(); i != 0 && k < len(dst); i = c.order.next(i) {
+		if e := c.order.at(i); e.Invalid {
+			dst[k] = e.Item
+			k++
 		}
 	}
-	return dst
+	return dst[:k]
 }
 
 // Items returns the IDs of all resident pages (valid and invalidated), in
 // recency order, most recent first.
 func (c *Cache) Items() []model.ItemID {
 	//lint:allow hotalloc reached only through the resync path, which runs once per declared gap, not per cycle
-	out := make([]model.ItemID, 0, len(c.index))
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		//lint:allow hotalloc the slice above is pre-sized to the index, so these appends never grow it
-		out = append(out, el.Value.(*Entry).Item)
+	out := make([]model.ItemID, len(c.index))
+	for n, i := 0, c.order.front(); i != 0; n, i = n+1, c.order.next(i) {
+		out[n] = c.order.at(i).Item
 	}
 	return out
 }
 
-// Clear drops every resident page. The index map is retained and
-// clear()ed so a post-flush refill does not regrow its buckets.
+// Clear drops every resident page. The slab and the index map are
+// retained and cleared so a post-flush refill allocates nothing.
 func (c *Cache) Clear() {
-	c.order.Init()
+	c.order.clear()
 	clear(c.index)
+	c.invalid = 0
 }
 
 // Remove drops the page for item entirely.
 func (c *Cache) Remove(item model.ItemID) {
-	if el, ok := c.index[item]; ok {
-		delete(c.index, item)
-		c.order.Remove(el)
+	if i, ok := c.index[item]; ok {
+		c.drop(i)
 	}
+}
+
+// drop unlinks resident node i and forgets its item.
+func (c *Cache) drop(i int32) {
+	e := c.order.at(i)
+	if e.Invalid {
+		c.invalid--
+	}
+	delete(c.index, e.Item)
+	c.order.remove(i)
 }
 
 // Stats returns the hit and miss counters accumulated by Get.

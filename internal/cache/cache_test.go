@@ -101,9 +101,9 @@ func TestInvalidationBlocksReads(t *testing.T) {
 	if e, ok := c.Peek(1); !ok || !e.Invalid {
 		t.Errorf("Peek after invalidation = %+v ok=%v, want resident invalid entry", e, ok)
 	}
-	got := c.InvalidItems()
+	got := c.AppendInvalidItems(nil)
 	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("InvalidItems() = %v, want [1]", got)
+		t.Errorf("AppendInvalidItems(nil) = %v, want [1]", got)
 	}
 	// Autoprefetch restores service.
 	c.Put(1, ver(20, 3))
@@ -111,7 +111,7 @@ func TestInvalidationBlocksReads(t *testing.T) {
 	if !ok || v.Value != 20 {
 		t.Errorf("after autoprefetch got %+v ok=%v, want value 20", v, ok)
 	}
-	if len(c.InvalidItems()) != 0 {
+	if len(c.AppendInvalidItems(nil)) != 0 {
 		t.Error("autoprefetched page still marked invalid")
 	}
 }

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
 
 	"bpush/internal/model"
@@ -98,17 +97,20 @@ func (m *MultiCache) GetAtOrBefore(item model.ItemID, c model.Cycle) (model.Vers
 func (m *MultiCache) FlushCurrent() { m.current.Clear() }
 
 // versionStore is a capacity-bounded LRU multimap from item to older
-// versions with validity intervals.
+// versions with validity intervals. The versions of one item are chained
+// through the slab by sib, oldest admission first, and heads maps an item
+// to its chain's first node.
 type versionStore struct {
 	capacity int
-	order    *list.List // values are *oldEntry
-	index    map[model.ItemID][]*list.Element
+	order    lru[oldEntry]
+	heads    map[model.ItemID]int32
 }
 
 type oldEntry struct {
 	item         model.ItemID
 	version      model.Version
 	validThrough model.Cycle
+	sib          int32 // next version of the same item; 0 ends the chain
 }
 
 func newVersionStore(capacity int) (*versionStore, error) {
@@ -117,12 +119,12 @@ func newVersionStore(capacity int) (*versionStore, error) {
 	}
 	return &versionStore{
 		capacity: capacity,
-		order:    list.New(),
-		index:    make(map[model.ItemID][]*list.Element),
+		order:    newLRU[oldEntry](capacity),
+		heads:    make(map[model.ItemID]int32, capacity),
 	}, nil
 }
 
-func (s *versionStore) len() int { return s.order.Len() }
+func (s *versionStore) len() int { return s.order.len() }
 
 func (s *versionStore) put(item model.ItemID, v model.Version, validThrough model.Cycle) {
 	if s.capacity == 0 {
@@ -130,49 +132,55 @@ func (s *versionStore) put(item model.ItemID, v model.Version, validThrough mode
 	}
 	// Refresh an identical version in place (idempotent demotions); the
 	// validity interval can only extend.
-	for _, el := range s.index[item] {
-		e := el.Value.(*oldEntry)
-		if e.version.Cycle == v.Cycle {
+	for i := s.heads[item]; i != 0; i = s.order.at(i).sib {
+		if e := s.order.at(i); e.version.Cycle == v.Cycle {
 			if validThrough > e.validThrough {
 				e.validThrough = validThrough
 			}
-			s.order.MoveToFront(el)
+			s.order.moveToFront(i)
 			return
 		}
 	}
-	if s.order.Len() >= s.capacity {
-		back := s.order.Back()
-		if back != nil {
-			s.removeElement(back)
-		}
+	if s.order.len() >= s.capacity {
+		s.evict(s.order.back())
 	}
-	el := s.order.PushFront(&oldEntry{item: item, version: v, validThrough: validThrough})
-	s.index[item] = append(s.index[item], el)
+	n := s.order.pushFront(oldEntry{item: item, version: v, validThrough: validThrough})
+	i, ok := s.heads[item]
+	if !ok {
+		s.heads[item] = n
+		return
+	}
+	for s.order.at(i).sib != 0 {
+		i = s.order.at(i).sib
+	}
+	s.order.at(i).sib = n
 }
 
-func (s *versionStore) removeElement(el *list.Element) {
-	e := el.Value.(*oldEntry)
-	s.order.Remove(el)
-	els := s.index[e.item]
-	for i, cand := range els {
-		if cand == el {
-			s.index[e.item] = append(els[:i], els[i+1:]...)
-			break
+// evict drops node i from the recency list and from its item's chain.
+func (s *versionStore) evict(i int32) {
+	e := s.order.at(i)
+	if h := s.heads[e.item]; h == i {
+		if e.sib == 0 {
+			delete(s.heads, e.item)
+		} else {
+			s.heads[e.item] = e.sib
 		}
+	} else {
+		for s.order.at(h).sib != i {
+			h = s.order.at(h).sib
+		}
+		s.order.at(h).sib = e.sib
 	}
-	if len(s.index[e.item]) == 0 {
-		delete(s.index, e.item)
-	}
+	s.order.remove(i)
 }
 
 // covering returns the old version of item whose validity interval
 // contains cycle c. Intervals of one item are disjoint, so at most one
 // entry matches.
 func (s *versionStore) covering(item model.ItemID, c model.Cycle) (model.Version, bool) {
-	for _, el := range s.index[item] {
-		e := el.Value.(*oldEntry)
-		if e.version.Cycle <= c && c <= e.validThrough {
-			s.order.MoveToFront(el)
+	for i := s.heads[item]; i != 0; i = s.order.at(i).sib {
+		if e := s.order.at(i); e.version.Cycle <= c && c <= e.validThrough {
+			s.order.moveToFront(i)
 			return e.version, true
 		}
 	}

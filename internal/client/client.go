@@ -296,12 +296,19 @@ func (c *Client) RunQuery(items []model.ItemID) (QueryResult, error) {
 	startCycle := c.cur.Cycle
 	startSlots := c.abs()
 	missedBefore := c.missed
-	spanCycles := make(map[model.Cycle]struct{})
+	// The cycle on air only ascends within a query, so the distinct
+	// cycles read from are counted as changes of the last one.
+	var lastRead model.Cycle
+	readAt := func() {
+		if res.Span == 0 || c.cur.Cycle != lastRead {
+			lastRead = c.cur.Cycle
+			res.Span++
+		}
+	}
 
 	finish := func() QueryResult {
 		res.LatencyCycles = int(c.cur.Cycle-startCycle) + 1
 		res.LatencySlots = c.abs() - startSlots
-		res.Span = len(spanCycles)
 		res.MissedCycles = c.missed - missedBefore
 		return res
 	}
@@ -342,7 +349,7 @@ func (c *Client) RunQuery(items []model.ItemID) (QueryResult, error) {
 			if ok {
 				res.Reads++
 				res.CacheReads++
-				spanCycles[c.cur.Cycle] = struct{}{}
+				readAt()
 				break
 			}
 			r, slot, err := c.scheme.ServeChannel(item, c.pos)
@@ -375,7 +382,7 @@ func (c *Client) RunQuery(items []model.ItemID) (QueryResult, error) {
 			default:
 				res.BroadcastReads++
 			}
-			spanCycles[c.cur.Cycle] = struct{}{}
+			readAt()
 			c.pos = slot + 1
 			break
 		}

@@ -33,6 +33,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"bpush/internal/broadcast"
 	"bpush/internal/model"
@@ -381,14 +382,19 @@ type txn struct {
 	meta    []readMeta // parallel to reads; only when track
 }
 
+// begin opens a transaction on the scratch the previous one left: reads,
+// readset and meta keep their capacity across transactions (reset empties
+// them), so once warm a transaction allocates only the copy of reads its
+// commit hands out (committedReads).
 func (t *txn) begin(track bool) error {
 	if t.active {
 		return ErrTxnActive
 	}
-	// meta never escapes the txn (emitStaleness copies it into events),
-	// so its backing array is reusable scratch; reads is handed out via
-	// Info.Reads at commit and must stay fresh.
-	*t = txn{active: true, track: track, readset: make(map[model.ItemID]struct{}), meta: t.meta[:0]}
+	t.reset()
+	if t.readset == nil {
+		t.readset = make(map[model.ItemID]struct{})
+	}
+	t.active, t.track = true, track
 	return nil
 }
 
@@ -447,6 +453,18 @@ func (t *txn) has(item model.ItemID) bool {
 	return ok
 }
 
-// reset keeps the meta scratch (see begin) but drops everything else —
-// reads escaped through Info.Reads at commit.
-func (t *txn) reset() { *t = txn{meta: t.meta[:0]} }
+// committedReads returns a fresh copy of the reads for CommitInfo.Reads,
+// which outlives the txn's reused buffer: the one object a committed
+// transaction allocates. It is nil for a transaction that read nothing.
+func (t *txn) committedReads() []model.ReadObservation {
+	if len(t.reads) == 0 {
+		return nil
+	}
+	return slices.Clone(t.reads)
+}
+
+// reset closes the transaction, keeping the emptied scratch (see begin).
+func (t *txn) reset() {
+	clear(t.readset)
+	*t = txn{reads: t.reads[:0], readset: t.readset, meta: t.meta[:0]}
+}

@@ -36,8 +36,9 @@ type invOnly struct {
 	// invalidate is the per-cycle cache-invalidation callback, built
 	// once at construction so NewCycle allocates no closure.
 	invalidate func(model.ItemID)
-	// keyScratch is the sorted-readset-walk scratch, reused per cycle.
+	// keyScratch and invScratch are per-cycle walk scratch, reused.
 	keyScratch []model.ItemID
+	invScratch []model.ItemID
 
 	// Reconnection-resync state (Options.ResyncOnReconnect).
 	pendingResync bool
@@ -119,7 +120,7 @@ func (s *invOnly) NewCycle(b *broadcast.Bcast) error {
 		s.prev, s.cur = nil, b // pre-gap becast must not feed autoprefetch
 	} else {
 		s.prev, s.cur = s.cur, b
-		autoprefetch(s.cache, s.prev)
+		s.invScratch = autoprefetch(s.cache, s.prev, s.invScratch)
 	}
 	if s.cache != nil {
 		b.EachInvalidated(s.opts.BucketGranularity, s.invalidate)
@@ -305,7 +306,7 @@ func (s *invOnly) Commit() (CommitInfo, error) {
 		ser = s.marked - 1 // Theorem 4: state before the first invalidation
 	}
 	info := CommitInfo{
-		Reads:              s.t.reads,
+		Reads:              s.t.committedReads(),
 		StartCycle:         s.t.start,
 		CommitCycle:        s.cur.Cycle,
 		SerializationCycle: ser,
@@ -322,18 +323,21 @@ func (s *invOnly) Commit() (CommitInfo, error) {
 // autoprefetch refreshes every invalidated cache page with the value the
 // previous becast carried: the paper's invalidation-with-autoprefetch
 // policy (§4), modeled as taking effect by the end of the cycle in which
-// the new value was re-broadcast.
-func autoprefetch(c *cache.Cache, prev *broadcast.Bcast) {
+// the new value was re-broadcast. scratch is the caller's retained
+// buffer for the invalid pages; the grown buffer is returned for reuse.
+func autoprefetch(c *cache.Cache, prev *broadcast.Bcast, scratch []model.ItemID) []model.ItemID {
 	if c == nil || prev == nil {
-		return
+		return scratch
 	}
-	for _, item := range c.InvalidItems() {
+	scratch = c.AppendInvalidItems(scratch[:0])
+	for _, item := range scratch {
 		if v, err := prev.ReadCurrent(item); err == nil {
 			c.Put(item, v)
 		} else {
 			c.Remove(item)
 		}
 	}
+	return scratch
 }
 
 func flushCache(c *cache.Cache) {

@@ -28,6 +28,8 @@ type mvBroadcast struct {
 	prev  *broadcast.Bcast
 	cache *cache.Cache // nil when cacheless; holds current versions
 	t     txn
+	// invScratch is the autoprefetch scratch, reused per cycle.
+	invScratch []model.ItemID
 }
 
 var _ Scheme = (*mvBroadcast)(nil)
@@ -86,7 +88,7 @@ func (s *mvBroadcast) NewCycle(b *broadcast.Bcast) error {
 		}
 	}
 	s.prev, s.cur = s.cur, b
-	autoprefetch(s.cache, s.prev)
+	s.invScratch = autoprefetch(s.cache, s.prev, s.invScratch)
 	if s.cache != nil {
 		for _, e := range b.Report {
 			s.cache.Invalidate(e.Item)
@@ -188,7 +190,7 @@ func (s *mvBroadcast) Commit() (CommitInfo, error) {
 		start = s.cur.Cycle
 	}
 	info := CommitInfo{
-		Reads:              s.t.reads,
+		Reads:              s.t.committedReads(),
 		StartCycle:         start,
 		CommitCycle:        s.cur.Cycle,
 		SerializationCycle: start,

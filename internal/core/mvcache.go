@@ -103,16 +103,7 @@ func (s *mvCache) NewCycle(b *broadcast.Bcast) error {
 	// Autoprefetch invalidated current pages with the values from the
 	// previous cycle, then apply this cycle's report (demoting displaced
 	// versions into the old partition).
-	if s.prev != nil {
-		s.invScratch = s.multi.Current().AppendInvalidItems(s.invScratch[:0])
-		for _, item := range s.invScratch {
-			if v, err := s.prev.ReadCurrent(item); err == nil {
-				s.multi.Put(item, v)
-			} else {
-				s.multi.Current().Remove(item)
-			}
-		}
-	}
+	s.invScratch = autoprefetch(s.multi.Current(), s.prev, s.invScratch)
 	s.invCycle = b.Cycle
 	b.EachInvalidated(s.opts.BucketGranularity, s.invalidate)
 	if s.t.active && s.t.doomed == nil && s.cu == 0 {
@@ -226,7 +217,7 @@ func (s *mvCache) Commit() (CommitInfo, error) {
 		start = s.cur.Cycle
 	}
 	info := CommitInfo{
-		Reads:              s.t.reads,
+		Reads:              s.t.committedReads(),
 		StartCycle:         start,
 		CommitCycle:        s.cur.Cycle,
 		SerializationCycle: ser,

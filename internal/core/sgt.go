@@ -39,8 +39,9 @@ type sgt struct {
 	// targets are R's precedence targets (the heads of its outgoing
 	// edges), without duplicates, in the order they were found.
 	targets []model.TxID
-	// keyScratch is the sorted-readset-walk scratch, reused per cycle.
+	// keyScratch and invScratch are per-cycle walk scratch, reused.
 	keyScratch []model.ItemID
+	invScratch []model.ItemID
 	// invalidFrom is c_o: the cycle of the first readset invalidation,
 	// the floor below which subgraphs can be pruned.
 	invalidFrom model.Cycle
@@ -121,7 +122,7 @@ func (s *sgt) NewCycle(b *broadcast.Bcast) error {
 	}
 	s.resync = false
 	s.prev, s.cur = s.cur, b
-	autoprefetch(s.cache, s.prev)
+	s.invScratch = autoprefetch(s.cache, s.prev, s.invScratch)
 
 	// Space bound (Lemma 1): only subgraphs from c_o onward matter; with
 	// no invalidated active transaction, nothing before the current
@@ -297,7 +298,7 @@ func (s *sgt) Commit() (CommitInfo, error) {
 		start = s.cur.Cycle
 	}
 	info := CommitInfo{
-		Reads:              s.t.reads,
+		Reads:              s.t.committedReads(),
 		StartCycle:         start,
 		CommitCycle:        s.cur.Cycle,
 		SerializationCycle: 0,

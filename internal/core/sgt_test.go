@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
+	"bpush/internal/broadcast"
 	"bpush/internal/model"
+	"bpush/internal/sg"
 )
 
 // rwTx builds a server transaction that reads then writes each of writes,
@@ -229,5 +232,37 @@ func TestSGTAbortReasonMentionsCycle(t *testing.T) {
 	}
 	if ae.Reason == "" {
 		t.Error("empty abort reason")
+	}
+}
+
+// TestSGTRejectsDeltaOfAnotherCycle: an SGT client sizes its graph by the
+// delta's cycle, so a becast of cycle 5 whose node-only delta claims cycle
+// 5+2^20 must be a clean error, not a ring of a million blocks. broadcast.New
+// rejects it; a becast built around New is rejected when NewCycle primes it.
+func TestSGTRejectsDeltaOfAnotherCycle(t *testing.T) {
+	far := model.Cycle(5 + 1<<20)
+	d := sg.Delta{Cycle: far, Nodes: []model.TxID{{Cycle: far}}}
+	entries := []broadcast.Entry{{Item: 1, Overflow: -1}, {Item: 2, Overflow: -1}}
+	if _, err := broadcast.New(5, nil, d, entries, nil, 1, 0); err == nil {
+		t.Fatal("broadcast.New accepted a delta of cycle 5+2^20 on cycle 5")
+	}
+	b, err := broadcast.New(5, nil, sg.Delta{}, entries, nil, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Delta = d
+	s, err := New(Options{Kind: KindSGT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = s.NewCycle(b)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("NewCycle accepted a delta of cycle 5+2^20 on cycle 5")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Errorf("rejecting the delta allocated %d bytes", grown)
 	}
 }

@@ -1,6 +1,7 @@
 package netcast
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"bpush/internal/fault"
 	"bpush/internal/model"
 	"bpush/internal/server"
+	"bpush/internal/sg"
 	"bpush/internal/wire"
 	"bpush/internal/workload"
 )
@@ -90,6 +92,52 @@ func TestTunerResyncsAfterCorruption(t *testing.T) {
 	}
 	if n := tuner.CorruptFrames(); n != 2 {
 		t.Errorf("CorruptFrames() = %d, want 2 (garbage + flipped frame)", n)
+	}
+}
+
+// TestTunerDropsFrameNewRejects: a frame whose checksum holds but whose
+// contents broadcast.New rejects (here a report out of item order) is a
+// loss like a corrupt frame, as the fault layer already treats it: the
+// tuner counts it and delivers the next good cycle, and no error reaches
+// the subscriber.
+func TestTunerDropsFrameNewRejects(t *testing.T) {
+	frames := encodeCycles(t, 3)
+	entries := make([]broadcast.Entry, 8)
+	for i := range entries {
+		entries[i] = broadcast.Entry{Item: model.ItemID(i + 1), Overflow: -1}
+	}
+	b, err := broadcast.New(2, []broadcast.InvalidationEntry{{Item: 1}, {Item: 3}}, sg.Delta{}, entries, nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Report[0], b.Report[1] = b.Report[1], b.Report[0]
+	rejected, err := wire.Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	air, ear := net.Pipe()
+	defer ear.Close()
+	go func() {
+		defer air.Close()
+		for _, f := range [][]byte{frames[0], rejected, frames[2]} {
+			if _, err := air.Write(f); err != nil {
+				return
+			}
+		}
+	}()
+	tuner := Tune(ear)
+	for _, want := range []model.Cycle{1, 3} {
+		got, err := tuner.Next()
+		if err != nil {
+			t.Fatalf("want cycle %v, got error %v", want, err)
+		}
+		if got.Cycle != want {
+			t.Errorf("got cycle %v, want %v", got.Cycle, want)
+		}
+	}
+	if n := tuner.CorruptFrames(); n != 1 {
+		t.Errorf("CorruptFrames() = %d, want 1 (the rejected frame)", n)
 	}
 }
 

@@ -71,14 +71,17 @@ func randomBcast(t *testing.T, rng *rand.Rand) *broadcast.Bcast {
 	for _, i := range reported {
 		report = append(report, broadcast.InvalidationEntry{Item: model.ItemID(1 + i), FirstWriter: tx()})
 	}
-	delta := sg.Delta{Cycle: model.Cycle(rng.Uint64())}
+	// The delta is of the becast's cycle, as every producer airs it
+	// (broadcast.New rejects any other).
+	cycle := model.Cycle(rng.Uint64())
+	delta := sg.Delta{Cycle: cycle}
 	for n := rng.Intn(20); n > 0; n-- {
 		delta.Nodes = append(delta.Nodes, tx())
 	}
 	for n := rng.Intn(30); n > 0; n-- {
 		delta.Edges = append(delta.Edges, sg.Edge{From: tx(), To: tx()})
 	}
-	b, err := broadcast.New(model.Cycle(rng.Uint64()), report, delta, entries, overflow, rng.Intn(1000), totalItems)
+	b, err := broadcast.New(cycle, report, delta, entries, overflow, rng.Intn(1000), totalItems)
 	if err != nil {
 		t.Fatal(err)
 	}

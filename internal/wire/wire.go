@@ -162,8 +162,10 @@ func appendOld(p []byte, item model.ItemID, v model.Version) []byte {
 // parses elements in place in its buffer; any other reader is read one
 // element at a time. The error is io.EOF when r ends before the magic,
 // io.ErrUnexpectedEOF when it ends mid-frame, a wrapped ErrBadFrame for a
-// malformed or corrupt frame, broadcast.New's error for an intact frame
-// it rejects, and otherwise the reader's own error.
+// malformed or corrupt frame, including an intact frame whose contents
+// broadcast.New rejects (that error is wrapped too), and otherwise the
+// reader's own error. A rejected intact frame has been read to its end,
+// so the next frame decodes from where it ended.
 //
 // Nothing derived crosses the wire: trusting state computed on the far
 // side of a lossy channel would couple a subscriber's correctness to
@@ -353,7 +355,11 @@ func (s *source) decode(p []byte) (*broadcast.Bcast, error) {
 	if got := binary.BigEndian.Uint32(b); got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch %#x != %#x", ErrBadFrame, got, want)
 	}
-	return broadcast.New(cycle, report, delta, entries, overflow, int(committed), int(totalItems))
+	bc, err := broadcast.New(cycle, report, delta, entries, overflow, int(committed), int(totalItems))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
+	}
+	return bc, nil
 }
 
 func txAt(b []byte) model.TxID {

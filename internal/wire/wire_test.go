@@ -205,8 +205,9 @@ func TestBroadcastNewValidation(t *testing.T) {
 
 // TestDecodeRejectsUnsortedReport pins the decoder against a report no
 // producer airs: a frame whose CRC holds but whose report is out of item
-// order or repeats an item decodes to broadcast.New's error on every byte
-// source, never to a becast whose report searches would answer wrongly.
+// order or repeats an item decodes to broadcast.New's error, wrapped as
+// ErrBadFrame, on every byte source, never to a becast whose report
+// searches would answer wrongly.
 func TestDecodeRejectsUnsortedReport(t *testing.T) {
 	for name, mangle := range map[string]func(r []broadcast.InvalidationEntry){
 		"swapped":  func(r []broadcast.InvalidationEntry) { r[0], r[2] = r[2], r[0] },
@@ -232,8 +233,8 @@ func TestDecodeRejectsUnsortedReport(t *testing.T) {
 				t.Errorf("%s: %s decoded report %v without error", name, dname, got.Report)
 				continue
 			}
-			if errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "broadcast: report") {
-				t.Errorf("%s: %s error %q, want broadcast.New's report rejection", name, dname, err)
+			if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "broadcast: report") {
+				t.Errorf("%s: %s error %q, want broadcast.New's report rejection as ErrBadFrame", name, dname, err)
 			}
 		}
 	}

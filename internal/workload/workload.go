@@ -171,6 +171,7 @@ type QueryGen struct {
 	cfg  ClientConfig
 	rng  *rand.Rand
 	dist *zipf.Dist
+	seen map[model.ItemID]struct{} // Query's dedupe set, reused
 }
 
 // NewQueryGen builds a query generator.
@@ -185,7 +186,7 @@ func NewQueryGen(cfg ClientConfig, rng *rand.Rand) (*QueryGen, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &QueryGen{cfg: cfg, rng: rng, dist: d}, nil
+	return &QueryGen{cfg: cfg, rng: rng, dist: d, seen: make(map[model.ItemID]struct{}, cfg.OpsPerQuery)}, nil
 }
 
 // Query returns the items of the next read-only transaction: OpsPerQuery
@@ -194,13 +195,13 @@ func NewQueryGen(cfg ClientConfig, rng *rand.Rand) (*QueryGen, error) {
 // request reordering as a separate optimization).
 func (g *QueryGen) Query() []model.ItemID {
 	items := make([]model.ItemID, 0, g.cfg.OpsPerQuery)
-	seen := make(map[model.ItemID]struct{}, g.cfg.OpsPerQuery)
+	clear(g.seen)
 	for len(items) < g.cfg.OpsPerQuery {
 		it := model.ItemID(g.dist.Sample(g.rng))
-		if _, dup := seen[it]; dup {
+		if _, dup := g.seen[it]; dup {
 			continue
 		}
-		seen[it] = struct{}{}
+		g.seen[it] = struct{}{}
 		items = append(items, it)
 	}
 	return items
