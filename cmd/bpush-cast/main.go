@@ -1,7 +1,7 @@
 // Command bpush-cast runs a live broadcast station: a server database with
 // a synthetic update workload whose becasts are pushed over TCP to any
-// number of subscribers. Pair it with the examples (examples/stockticker)
-// or your own bpush.Tuner clients.
+// number of subscribers. Pair it with bpush-client or your own
+// bpush.Tuner clients (ExampleNewStation in the bpush package shows one).
 //
 // Usage:
 //

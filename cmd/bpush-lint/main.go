@@ -3,8 +3,9 @@
 // determinism chased transitively from the configured entry points (no
 // wall clock, no global randomness, no map-order leaks anywhere they
 // reach), hot-path allocation discipline, lock ordering in the fan-out
-// tier, wire-buffer aliasing, goroutine ownership, and error hygiene on
-// the decode/IO paths.
+// tier, wire-buffer aliasing, goroutine ownership, error hygiene on the
+// decode/IO paths, the observability layer's clock seam, and no exported
+// internal surface that only tests use.
 //
 // Usage:
 //

@@ -141,3 +141,23 @@ func TestRunBadPattern(t *testing.T) {
 		t.Errorf("stderr should name the unmatched pattern, got %q", errOut.String())
 	}
 }
+
+// TestDesignCataloguesEveryAnalyzer keeps DESIGN.md's lint catalogue in
+// step with the suite: every analyzer's name must appear, backticked, in
+// the "Enforced invariants (bpush-lint)" section.
+func TestDesignCataloguesEveryAnalyzer(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n## Enforced invariants (bpush-lint)\n")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "## Enforced invariants (bpush-lint)" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, a := range analysis.Suite() {
+		if !strings.Contains(section, "`"+a.Name+"`") {
+			t.Errorf("DESIGN.md's bpush-lint section never names `%s`", a.Name)
+		}
+	}
+}

@@ -163,7 +163,6 @@ func DefaultConfig() Config {
 			// The lint tool itself: two runs over one module must
 			// produce identical bytes (CI compares them).
 			"bpush/internal/analysis.Load",
-			"bpush/internal/analysis.LoadDir",
 			"bpush/internal/analysis.Suite",
 			"bpush/internal/analysis.RunAnalyzers",
 			"bpush/internal/analysis.FlowGraph",
@@ -390,6 +389,7 @@ func Suite() []*Analyzer {
 		BufAliasAnalyzer(),
 		GoroutineAnalyzer(),
 		ErrcheckAnalyzer(),
+		DeadExportAnalyzer(),
 	}
 }
 

@@ -119,7 +119,7 @@ func checkMapRanges(p *ModulePass, info *types.Info, list []ast.Stmt, via func()
 			continue
 		}
 		if v, bad := mapRangeViolation(info, rs, list[i+1:]); bad {
-			p.Reportf(rs.Pos(), "map iteration order escapes (%s at %s) on deterministic path %s; iterate det.SortedKeys/SortedKeysFunc, or sort the appended slice immediately after the loop",
+			p.Reportf(rs.Pos(), "map iteration order escapes (%s at %s) on deterministic path %s; iterate det.SortedKeys, or sort the appended slice immediately after the loop",
 				v.what, p.Fset.Position(v.pos), via())
 		}
 	}

@@ -126,9 +126,6 @@ type Graph struct {
 // Fset returns the file set positions resolve against.
 func (g *Graph) Fset() *token.FileSet { return g.fset }
 
-// Node returns the node with the given ID, or nil.
-func (g *Graph) Node(id string) *Node { return g.byID[id] }
-
 // NodeOf returns the node for a declared function object, or nil.
 func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byFn[fn] }
 
@@ -538,9 +535,6 @@ func (g *Graph) Reach(roots []*Node) *Reach {
 	}
 	return r
 }
-
-// Contains reports whether n was reached.
-func (r *Reach) Contains(n *Node) bool { _, ok := r.depth[n]; return ok }
 
 // Depth returns the BFS depth of n (0 for roots), or -1 if unreached.
 func (r *Reach) Depth(n *Node) int {

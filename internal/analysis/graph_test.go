@@ -57,7 +57,7 @@ func TestFlowLookupSpecs(t *testing.T) {
 func TestFlowEdgeKinds(t *testing.T) {
 	g := fixtureGraph(t, "dettaintvirtual")
 	kindOf := func(caller, callee string) (flow.EdgeKind, bool) {
-		n := g.Node(caller)
+		n := nodeByID(g, caller)
 		if n == nil {
 			t.Fatalf("no node %q", caller)
 		}
@@ -100,7 +100,7 @@ func TestFlowReachDepthAndPath(t *testing.T) {
 		"fix/dettaintvirtual.viaClosure$lit1":  2,
 	}
 	for id, want := range depths {
-		n := g.Node(id)
+		n := nodeByID(g, id)
 		if n == nil {
 			t.Fatalf("no node %q", id)
 		}
@@ -108,7 +108,7 @@ func TestFlowReachDepthAndPath(t *testing.T) {
 			t.Errorf("Depth(%s) = %d, want %d", id, d, want)
 		}
 	}
-	lit := g.Node("fix/dettaintvirtual.viaClosure$lit1")
+	lit := nodeByID(g, "fix/dettaintvirtual.viaClosure$lit1")
 	got := flow.PathString(reach.Path(lit), "")
 	want := "fix/dettaintvirtual.Run -> fix/dettaintvirtual.viaClosure -> fix/dettaintvirtual.viaClosure$lit1"
 	if got != want {
@@ -118,7 +118,7 @@ func TestFlowReachDepthAndPath(t *testing.T) {
 	if trimmed != "Run -> viaClosure -> viaClosure$lit1" {
 		t.Errorf("trimmed PathString = %q", trimmed)
 	}
-	if reach.Depth(g.Node("fix/dettaintvirtual.Sink.Record")) != -1 {
+	if reach.Depth(nodeByID(g, "fix/dettaintvirtual.Sink.Record")) != -1 {
 		t.Error("abstract interface method should not be a graph node with a depth")
 	}
 }

@@ -55,26 +55,9 @@ func Load(root string) ([]*Package, error) {
 		if rel != "." {
 			path = modPath + "/" + filepath.ToSlash(rel)
 		}
-		entries, err := os.ReadDir(dir)
+		files, err := parseDir(fset, dir)
 		if err != nil {
 			return err
-		}
-		var files []*ast.File
-		var names []string
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return fmt.Errorf("parse %s: %w", filepath.Join(dir, name), err)
-			}
-			files = append(files, f)
 		}
 		if len(files) > 0 {
 			raw[path] = &rawPkg{path: path, dir: dir, files: files}
@@ -105,47 +88,25 @@ func Load(root string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the single package in dir under the
-// given import path, resolving imports through the toolchain only (no
-// module-internal imports). The analyzer fixture tests use it to load
-// testdata packages that are not part of the module.
-func LoadDir(dir, path string) (*Package, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
+// parseDir parses the non-test Go files of dir, in name order.
+func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	var names []string
-	for _, e := range entries {
+	var files []*ast.File
+	for _, e := range entries { // os.ReadDir sorts by name
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, name := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("parse %s: %w", filepath.Join(dir, name), err)
 		}
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	ld := &loader{
-		fset: fset,
-		raw:  map[string]*rawPkg{path: {path: path, dir: dir, files: files}},
-		done: map[string]*Package{},
-		gc:   importer.Default(),
-	}
-	return ld.load(path, nil)
+	return files, nil
 }
 
 // walkDirs visits root and every eligible subdirectory, in sorted order.

@@ -21,8 +21,8 @@ import (
 //     statement(s) immediately following the loop sort the appended
 //     slice (the det.SortedKeys idiom, inlined);
 //
-// everything else is a violation: iterate det.SortedKeys /
-// det.SortedKeysFunc instead, or restructure.
+// everything else is a violation: iterate det.SortedKeys instead, or
+// restructure.
 
 // isMapRange reports whether rs ranges over a map.
 func isMapRange(info *types.Info, rs *ast.RangeStmt) bool {

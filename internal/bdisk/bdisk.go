@@ -109,40 +109,6 @@ func TwoDisk(dbSize, hot, freq int) (broadcast.Program, error) {
 	})
 }
 
-// Frequencies counts how many times each item appears in a program.
-func Frequencies(p broadcast.Program) map[model.ItemID]int {
-	out := make(map[model.ItemID]int)
-	for _, it := range p {
-		out[it]++
-	}
-	return out
-}
-
-// MeanSpacing returns the average distance (in slots) between consecutive
-// appearances of item in the cyclic program — the expected wait for the
-// item is half of this. Returns the program length for items appearing
-// once, and 0 for absent items.
-func MeanSpacing(p broadcast.Program, item model.ItemID) float64 {
-	var hits []int
-	for i, it := range p {
-		if it == item {
-			hits = append(hits, i)
-		}
-	}
-	if len(hits) == 0 {
-		return 0
-	}
-	if len(hits) == 1 {
-		return float64(len(p))
-	}
-	total := 0
-	for i := 1; i < len(hits); i++ {
-		total += hits[i] - hits[i-1]
-	}
-	total += len(p) - hits[len(hits)-1] + hits[0] // wrap-around gap
-	return float64(total) / float64(len(hits))
-}
-
 func lcm(a, b int) int { return a / gcd(a, b) * b }
 
 func gcd(a, b int) int {

@@ -16,6 +16,40 @@ func items(ids ...int) []model.ItemID {
 	return out
 }
 
+// frequencies counts how many times each item appears in a program.
+func frequencies(p broadcast.Program) map[model.ItemID]int {
+	out := make(map[model.ItemID]int)
+	for _, it := range p {
+		out[it]++
+	}
+	return out
+}
+
+// meanSpacing returns the average distance (in slots) between consecutive
+// appearances of item in the cyclic program — the expected wait for the
+// item is half of this. Returns the program length for items appearing
+// once, and 0 for absent items.
+func meanSpacing(p broadcast.Program, item model.ItemID) float64 {
+	var hits []int
+	for i, it := range p {
+		if it == item {
+			hits = append(hits, i)
+		}
+	}
+	if len(hits) == 0 {
+		return 0
+	}
+	if len(hits) == 1 {
+		return float64(len(p))
+	}
+	total := 0
+	for i := 1; i < len(hits); i++ {
+		total += hits[i] - hits[i-1]
+	}
+	total += len(p) - hits[len(hits)-1] + hits[0] // wrap-around gap
+	return float64(total) / float64(len(hits))
+}
+
 func TestProgramValidation(t *testing.T) {
 	tests := []struct {
 		name  string
@@ -46,7 +80,7 @@ func TestFrequenciesMatchDiskSpeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freq := Frequencies(prog)
+	freq := frequencies(prog)
 	for _, hot := range items(1, 2) {
 		if freq[hot] != 3 {
 			t.Errorf("hot item %v appears %d times, want 3", hot, freq[hot])
@@ -64,7 +98,7 @@ func TestTwoDiskCoversDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freq := Frequencies(prog)
+	freq := frequencies(prog)
 	for i := 1; i <= 20; i++ {
 		if freq[model.ItemID(i)] == 0 {
 			t.Errorf("item %d missing", i)
@@ -90,11 +124,11 @@ func TestMeanSpacingHotBeatsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	flatSpacing := 40.0 // flat program: every item once per 40 slots
-	hot := MeanSpacing(prog, 1)
+	hot := meanSpacing(prog, 1)
 	if hot >= flatSpacing {
 		t.Errorf("hot item mean spacing %.1f >= flat %.1f; fast disk must reduce wait", hot, flatSpacing)
 	}
-	cold := MeanSpacing(prog, 40)
+	cold := meanSpacing(prog, 40)
 	if cold <= flatSpacing {
 		t.Errorf("cold item mean spacing %.1f <= flat %.1f; slow disk must pay", cold, flatSpacing)
 	}
@@ -102,13 +136,13 @@ func TestMeanSpacingHotBeatsFlat(t *testing.T) {
 
 func TestMeanSpacingEdgeCases(t *testing.T) {
 	prog := broadcast.Program{1, 2, 1, 3}
-	if got := MeanSpacing(prog, 9); got != 0 {
+	if got := meanSpacing(prog, 9); got != 0 {
 		t.Errorf("absent item spacing = %g, want 0", got)
 	}
-	if got := MeanSpacing(prog, 2); got != 4 {
+	if got := meanSpacing(prog, 2); got != 4 {
 		t.Errorf("single-appearance spacing = %g, want program length 4", got)
 	}
-	if got := MeanSpacing(prog, 1); got != 2 {
+	if got := meanSpacing(prog, 1); got != 2 {
 		t.Errorf("item 1 spacing = %g, want 2", got)
 	}
 }

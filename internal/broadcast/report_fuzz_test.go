@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"slices"
+	"sort"
 	"testing"
 
 	"bpush/internal/model"
@@ -97,7 +98,7 @@ func fuzzBcast(f *fz) (b *Bcast, report []InvalidationEntry, err error) {
 		// The producer's form: the cycle's transactions declared, the
 		// block sorted and duplicate-free.
 		delta.Nodes = []model.TxID{{Cycle: cyc}, {Cycle: cyc, Seq: 1}, {Cycle: cyc, Seq: 2}, {Cycle: cyc, Seq: 3}}
-		sg.SortEdges(delta.Edges)
+		sort.Slice(delta.Edges, func(i, j int) bool { return sg.EdgeLess(delta.Edges[i], delta.Edges[j]) })
 		uniq := delta.Edges[:0]
 		for i, e := range delta.Edges {
 			if i == 0 || e != delta.Edges[i-1] {

@@ -87,9 +87,6 @@ func (p SizeParams) versionUnits() float64 { return p.bitsToUnits(math.Log2(floa
 // control: D items of (k+d) units.
 func (p SizeParams) BaseUnits() float64 { return float64(p.D) * (p.Key + p.Data) }
 
-// BaseBuckets is BaseUnits expressed in buckets.
-func (p SizeParams) BaseBuckets() float64 { return math.Ceil(p.BaseUnits() / p.Bucket) }
-
 // OverheadUnits returns the additional on-air units the given method
 // requires beyond the plain broadcast.
 func (p SizeParams) OverheadUnits(m Method) (float64, error) {

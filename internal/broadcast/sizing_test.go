@@ -12,9 +12,6 @@ func TestDefaultSizeParamsValid(t *testing.T) {
 	if p.BaseUnits() != 6000 {
 		t.Errorf("BaseUnits() = %g, want 6000 (D=1000 items of 6 units)", p.BaseUnits())
 	}
-	if p.BaseBuckets() != 1000 {
-		t.Errorf("BaseBuckets() = %g, want 1000", p.BaseBuckets())
-	}
 }
 
 func TestOverheadInvalidParams(t *testing.T) {

@@ -55,12 +55,6 @@ func New(capacity int) (*Cache, error) {
 	}, nil
 }
 
-// Capacity returns the configured page capacity.
-func (c *Cache) Capacity() int { return c.capacity }
-
-// Len returns the number of resident pages (including invalidated ones).
-func (c *Cache) Len() int { return len(c.index) }
-
 // Get returns the cached version of item if present and not invalidated,
 // bumping its recency. The paper's read rule: "if the item is found in
 // cache and the page is not invalidated, the item is read from the cache".
@@ -191,6 +185,3 @@ func (c *Cache) drop(i int32) {
 	delete(c.index, e.Item)
 	c.order.remove(i)
 }
-
-// Stats returns the hit and miss counters accumulated by Get.
-func (c *Cache) Stats() (hits, misses int64) { return c.hits, c.misses }

@@ -44,12 +44,6 @@ func NewMulti(currentCap, oldCap int) (*MultiCache, error) {
 // like the plain cache (reads of fresh transactions go through it).
 func (m *MultiCache) Current() *Cache { return m.current }
 
-// OldLen returns the number of resident old-version pages.
-func (m *MultiCache) OldLen() int { return m.old.len() }
-
-// OldCapacity returns the old-partition capacity.
-func (m *MultiCache) OldCapacity() int { return m.old.capacity }
-
 // Invalidate handles an invalidation-report entry seen at cycle atCycle:
 // the current entry, if resident and still valid, is demoted into the
 // old-version partition (valid through atCycle-1, since the overwrite
@@ -123,8 +117,6 @@ func newVersionStore(capacity int) (*versionStore, error) {
 		heads:    make(map[model.ItemID]int32, capacity),
 	}, nil
 }
-
-func (s *versionStore) len() int { return s.order.len() }
 
 func (s *versionStore) put(item model.ItemID, v model.Version, validThrough model.Cycle) {
 	if s.capacity == 0 {

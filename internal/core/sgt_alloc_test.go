@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -43,7 +44,7 @@ func sgtCycles(t *testing.T, n, edges int, shared bool) []*broadcast.Bcast {
 				d.Edges = append(d.Edges, e)
 			}
 		}
-		sg.SortEdges(d.Edges)
+		sort.Slice(d.Edges, func(i, j int) bool { return sg.EdgeLess(d.Edges[i], d.Edges[j]) })
 		var report []broadcast.InvalidationEntry
 		entries := make([]broadcast.Entry, db)
 		for i := range entries {

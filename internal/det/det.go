@@ -12,7 +12,6 @@ package det
 import (
 	"cmp"
 	"slices"
-	"sort"
 )
 
 // SortedKeys returns m's keys in ascending order. The result is a fresh
@@ -36,16 +35,4 @@ func AppendSortedKeys[M ~map[K]V, K cmp.Ordered, V any](dst []K, m M) []K {
 	}
 	slices.Sort(dst[start:])
 	return dst
-}
-
-// SortedKeysFunc returns m's keys sorted by less, for key types without a
-// natural order. less must be a strict weak ordering; with equal keys
-// impossible in a map, the order is total and the result deterministic.
-func SortedKeysFunc[M ~map[K]V, K comparable, V any](m M, less func(a, b K) bool) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
-	return keys
 }

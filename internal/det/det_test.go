@@ -28,21 +28,6 @@ func TestSortedKeysFresh(t *testing.T) {
 	}
 }
 
-func TestSortedKeysFunc(t *testing.T) {
-	type pair struct{ a, b int }
-	m := map[pair]bool{{2, 1}: true, {1, 9}: true, {1, 2}: true}
-	got := SortedKeysFunc(m, func(x, y pair) bool {
-		if x.a != y.a {
-			return x.a < y.a
-		}
-		return x.b < y.b
-	})
-	want := []pair{{1, 2}, {1, 9}, {2, 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SortedKeysFunc = %v, want %v", got, want)
-	}
-}
-
 // TestSortedKeysStableAcrossRuns drives the point of the package: many
 // random maps, every extraction sorted — the property the maprange
 // analyzer assumes when it blesses det.SortedKeys call sites.

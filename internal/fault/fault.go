@@ -153,15 +153,6 @@ var plans = map[string]Plan{
 	"chaos": {Drop: 0.04, Corrupt: 0.03, Truncate: 0.02, Duplicate: 0.03, Reorder: 0.03, Burst: 0.01, BurstLen: 3},
 }
 
-// Plans returns the shipped named plans, keyed by name.
-func Plans() map[string]Plan {
-	out := make(map[string]Plan, len(plans))
-	for k, v := range plans {
-		out[k] = v
-	}
-	return out
-}
-
 // PlanNames returns the shipped plan names, sorted.
 func PlanNames() []string {
 	names := make([]string, 0, len(plans))
@@ -238,9 +229,6 @@ type Stats struct {
 	Duplicated int64 // frames delivered twice
 	Reordered  int64 // frames delivered after their successor
 }
-
-// Lost returns the total number of cycles the layer made unhearable.
-func (s Stats) Lost() int64 { return s.Dropped + s.Corrupted + s.Truncated + s.Burst }
 
 // corruptWindow is the span, in bytes, of one bit-corruption burst.
 const corruptWindow = 32

@@ -48,9 +48,6 @@ func New(feed Feed, plan Plan, seed int64) (*Injector, error) {
 	return &Injector{inner: feed, l: l}, nil
 }
 
-// Stats returns what the injector has done to the stream so far.
-func (in *Injector) Stats() Stats { return in.l.stats }
-
 // Observe attaches a trace recorder: every fault the injector applies is
 // recorded as a fault event naming the fault kind, stamped with the cycle
 // of the frame it hit. Nil detaches.

@@ -30,9 +30,6 @@ func NewMangler(plan Plan, seed int64) (*Mangler, error) {
 	return &Mangler{l: l}, nil
 }
 
-// Stats returns what the mangler has done to the stream so far.
-func (m *Mangler) Stats() Stats { return m.l.stats }
-
 // Observe attaches a trace recorder: every fault the mangler applies is
 // recorded as a fault event naming the fault kind, stamped with the cycle
 // of the frame it hit. Nil detaches.

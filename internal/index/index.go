@@ -4,14 +4,14 @@
 // broadcast to find one item, so a k-ary index over the data segment is
 // broadcast m times per cycle, letting a client doze between short probes.
 //
-// The package provides the index tree, the (1,m) layout arithmetic
-// (access latency and tuning time, both in slots), the classical optimum
-// for m, and a step-by-step protocol walk used by tests and the energy
-// ablation bench. The core consistency schemes do not depend on it — with
-// a flat program the offset of every item is fixed and a locally stored
-// directory suffices (§3.2) — but it quantifies the cost of *not* having
-// a local directory, and serves broadcast-disk programs whose layouts
-// change per cycle.
+// The package provides the index tree, the (1,m) layout arithmetic, the
+// classical optimum for m, and a protocol walk that measures access
+// latency and tuning time in slots, used by the energy ablation bench.
+// The core consistency schemes do not depend on it — with a flat program
+// the offset of every item is fixed and a locally stored directory
+// suffices (§3.2) — but it quantifies the cost of *not* having a local
+// directory, and serves broadcast-disk programs whose layouts change per
+// cycle.
 package index
 
 import (
@@ -84,17 +84,15 @@ func FromBcast(b *broadcast.Bcast, fanout int) (*Tree, error) {
 	return Build(entries, fanout)
 }
 
-// Len returns the number of indexed keys.
-func (t *Tree) Len() int { return len(t.entries) }
-
-// Fanout returns the keys per index bucket.
-func (t *Tree) Fanout() int { return t.fanout }
-
 // Height returns the number of index levels (= probes per lookup).
+//
+//lint:allow deadexport facade API (bpush.IndexTree), pinned by ExampleBuildIndex
 func (t *Tree) Height() int { return t.levels }
 
 // Buckets returns the on-air size of one index copy, in buckets: the sum
 // of the node counts of every level.
+//
+//lint:allow deadexport facade API (bpush.IndexTree), pinned by ExampleBuildIndex
 func (t *Tree) Buckets() int {
 	total := 0
 	n := (len(t.entries) + t.fanout - 1) / t.fanout
@@ -104,17 +102,6 @@ func (t *Tree) Buckets() int {
 		total += n
 	}
 	return total
-}
-
-// Lookup returns the data slot of key and the number of index buckets a
-// client probes to find it (the tree height — each probe reads one
-// bucket, dozing in between).
-func (t *Tree) Lookup(key model.ItemID) (slot, probes int, ok bool) {
-	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Key >= key })
-	if i == len(t.entries) || t.entries[i].Key != key {
-		return 0, t.levels, false
-	}
-	return t.entries[i].Slot, t.levels, true
 }
 
 // Layout is a (1,m) organization: one full index copy broadcast m times
@@ -145,24 +132,10 @@ func NewLayout(dataSlots, indexBuckets, m, probes int) (Layout, error) {
 // TotalSlots is the cycle length including the m index copies.
 func (l Layout) TotalSlots() int { return l.DataSlots + l.M*l.IndexBuckets }
 
-// ExpectedAccess returns the expected access latency in slots for a
-// random item under the classical (1,m) analysis: half the distance to
-// the next index copy, plus half a cycle to reach the item.
-func (l Layout) ExpectedAccess() float64 {
-	interval := float64(l.TotalSlots()) / float64(l.M)
-	return interval/2 + float64(l.TotalSlots())/2
-}
-
-// ExpectedTuning returns the expected tuning time in slots — the energy
-// metric: the initial probe (which doubles as the next-index-offset
-// read), one probe per index level, and the item itself.
-func (l Layout) ExpectedTuning() float64 {
-	return float64(1 + l.Probes + 1)
-}
-
-// OptimalM returns the replication factor minimizing ExpectedAccess:
-// m* = sqrt(DataSlots / IndexBuckets), rounded to the nearest integer
-// >= 1 (the classical result).
+// OptimalM returns the replication factor minimizing the classical (1,m)
+// expected access latency — half the distance to the next index copy
+// plus half a cycle: m* = sqrt(DataSlots / IndexBuckets), rounded to the
+// nearest integer >= 1.
 func OptimalM(dataSlots, indexBuckets int) int {
 	if dataSlots <= 0 || indexBuckets <= 0 {
 		return 1
@@ -181,6 +154,8 @@ func OptimalM(dataSlots, indexBuckets int) int {
 // dozes to the item's slot. It returns the access latency and the tuning
 // time, both in slots. Data slots are indexed within the data segment;
 // the layout arithmetic places the index copies.
+//
+//lint:allow deadexport facade API (bpush.IndexLayout), pinned by ExampleBuildIndex
 func (l Layout) Walk(start, itemSlot int) (access, tuning int, err error) {
 	if itemSlot < 0 || itemSlot >= l.DataSlots {
 		return 0, 0, fmt.Errorf("index: item slot %d outside data segment 0..%d", itemSlot, l.DataSlots-1)
@@ -189,7 +164,10 @@ func (l Layout) Walk(start, itemSlot int) (access, tuning int, err error) {
 	if start < 0 || start >= total {
 		return 0, 0, fmt.Errorf("index: start %d outside cycle 0..%d", start, total-1)
 	}
-	segment := total / l.M // slots per (index copy + data chunk), last chunk absorbs remainder
+	// Copy k of the index starts at slot k*segment, k < M; the last data
+	// chunk absorbs the DataSlots%M remainder, so the last segment is
+	// longer and no copy starts at M*segment.
+	segment := total / l.M
 	// Absolute slot where the item lives: data slots are distributed
 	// after each index copy, 1/m-th per segment.
 	chunk := l.DataSlots / l.M
@@ -202,13 +180,13 @@ func (l Layout) Walk(start, itemSlot int) (access, tuning int, err error) {
 
 	pos := start
 	tuning = 1 // the initial probe that reads the offset pointer
-	// Doze to the next index copy at or after pos+1.
-	nextIdx := ((pos)/segment + 1) * segment
-	waited := nextIdx - pos
-	if nextIdx >= total {
-		nextIdx -= total
-		// wrapped into the next cycle
+	// Doze to the next index copy at or after pos+1: past the last
+	// copy, that is slot 0 of the next cycle.
+	nextIdx := (pos/segment + 1) * segment
+	if nextIdx >= l.M*segment {
+		nextIdx = total
 	}
+	waited := nextIdx - pos
 	// Descend the index: one bucket per level.
 	tuning += l.Probes
 	probeEnd := nextIdx%total + l.Probes

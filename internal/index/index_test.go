@@ -216,6 +216,87 @@ func TestWalkStatisticsMatchAnalysis(t *testing.T) {
 	}
 }
 
+// slotCycle is Walk's oracle: the (1,m) cycle laid out slot by slot. Each
+// of the M segments is one index copy followed by its data chunk, and the
+// last chunk takes the DataSlots%M remainder.
+type slotCycle struct {
+	total    int
+	probes   int
+	nextCopy []int // first slot after t that starts an index copy; total is the next cycle's slot 0
+	slotOf   []int // cycle slot of each data slot
+}
+
+func newSlotCycle(l Layout) slotCycle {
+	c := slotCycle{total: l.TotalSlots(), probes: l.Probes, slotOf: make([]int, l.DataSlots)}
+	copyAt := make([]bool, c.total)
+	pos, d := 0, 0
+	for k := 0; k < l.M; k++ {
+		copyAt[pos] = true
+		pos += l.IndexBuckets
+		n := l.DataSlots / l.M
+		if k == l.M-1 {
+			n = l.DataSlots - d
+		}
+		for j := 0; j < n; j++ {
+			c.slotOf[d] = pos
+			d++
+			pos++
+		}
+	}
+	c.nextCopy = make([]int, c.total)
+	next := c.total
+	for t := c.total - 1; t >= 0; t-- {
+		c.nextCopy[t] = next
+		if copyAt[t] {
+			next = t
+		}
+	}
+	return c
+}
+
+// walk steps through the protocol: one probe at start, doze to the next
+// index copy, read Probes buckets, doze to the item's next airing.
+func (c slotCycle) walk(start, itemSlot int) (access, tuning int) {
+	t := c.nextCopy[start] + c.probes
+	at := c.slotOf[itemSlot]
+	for at < t {
+		at += c.total
+	}
+	return at - start + 1, 1 + c.probes + 1
+}
+
+// TestWalkMatchesSlotWalk compares Walk with the slot-by-slot oracle on
+// every (start, item) pair. The replication factors include ones that
+// leave a remainder (1000 % m != 0): there the last segment is longer
+// than the others, and the next copy after it is slot 0 of the next
+// cycle.
+func TestWalkMatchesSlotWalk(t *testing.T) {
+	for _, m := range []int{1, 2, 3, 6, 7, 12} {
+		l, err := NewLayout(1000, 111, m, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newSlotCycle(l)
+		bad := 0
+		for start := 0; start < l.TotalSlots(); start++ {
+			for item := 0; item < l.DataSlots; item++ {
+				access, tuning, err := l.Walk(start, item)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wa, wt := c.walk(start, item); access != wa || tuning != wt {
+					if bad++; bad <= 3 {
+						t.Errorf("m=%d Walk(%d, %d) = %d, %d; slot walk %d, %d", m, start, item, access, tuning, wa, wt)
+					}
+				}
+			}
+		}
+		if bad > 0 {
+			t.Errorf("m=%d: %d of %d (start, item) pairs mismatch", m, bad, l.TotalSlots()*l.DataSlots)
+		}
+	}
+}
+
 func TestWalkTuningIndependentOfStart(t *testing.T) {
 	l, err := NewLayout(200, 31, 2, 3)
 	if err != nil {

@@ -132,27 +132,6 @@ type ServerTx struct {
 	Ops []Op
 }
 
-// ReadSet returns the set of items read (which includes the writeset by
-// assumption).
-func (t ServerTx) ReadSet() map[ItemID]struct{} {
-	s := make(map[ItemID]struct{}, len(t.Ops))
-	for _, op := range t.Ops {
-		s[op.Item] = struct{}{}
-	}
-	return s
-}
-
-// WriteSet returns the set of items written.
-func (t ServerTx) WriteSet() map[ItemID]struct{} {
-	s := make(map[ItemID]struct{})
-	for _, op := range t.Ops {
-		if op.Kind == OpWrite {
-			s[op.Item] = struct{}{}
-		}
-	}
-	return s
-}
-
 // ReadObservation records one read performed by a client read-only
 // transaction: the item, the value observed, the version cycle of that
 // value, and the transaction that wrote it. Committed queries carry their
@@ -168,13 +147,6 @@ type ReadObservation struct {
 // DBState is an immutable snapshot of the database, used by the consistency
 // oracle. Index i holds the value of item i+1.
 type DBState []Value
-
-// Clone returns a deep copy of the state.
-func (s DBState) Clone() DBState {
-	out := make(DBState, len(s))
-	copy(out, s)
-	return out
-}
 
 // Get returns the value of an item, which must be in 1..len(s).
 func (s DBState) Get(id ItemID) (Value, error) {

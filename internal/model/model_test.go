@@ -61,31 +61,6 @@ func TestTxIDIsZero(t *testing.T) {
 	}
 }
 
-func TestServerTxSets(t *testing.T) {
-	tx := ServerTx{Ops: []Op{
-		{Kind: OpRead, Item: 1},
-		{Kind: OpRead, Item: 2},
-		{Kind: OpWrite, Item: 2},
-		{Kind: OpRead, Item: 3},
-	}}
-	rs := tx.ReadSet()
-	if len(rs) != 3 {
-		t.Fatalf("len(ReadSet()) = %d, want 3", len(rs))
-	}
-	ws := tx.WriteSet()
-	if len(ws) != 1 {
-		t.Fatalf("len(WriteSet()) = %d, want 1", len(ws))
-	}
-	if _, ok := ws[2]; !ok {
-		t.Error("WriteSet() missing item 2")
-	}
-	for item := range ws {
-		if _, ok := rs[item]; !ok {
-			t.Errorf("writeset item %v not in readset; read-before-write assumption violated", item)
-		}
-	}
-}
-
 func TestDBStateGet(t *testing.T) {
 	s := DBState{10, 20, 30}
 	v, err := s.Get(2)
@@ -100,15 +75,6 @@ func TestDBStateGet(t *testing.T) {
 	}
 	if _, err := s.Get(4); err == nil {
 		t.Error("Get(4) succeeded, want error")
-	}
-}
-
-func TestDBStateCloneIsDeep(t *testing.T) {
-	s := DBState{1, 2, 3}
-	c := s.Clone()
-	c[0] = 99
-	if s[0] != 1 {
-		t.Error("Clone shares backing array with original")
 	}
 }
 

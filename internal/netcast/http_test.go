@@ -123,7 +123,7 @@ func TestTracezEndpoint(t *testing.T) {
 
 // TestTraceRingHoldsWholeCycles pins the /tracez ring's reach on the
 // paper's write-heavy maximum (D = 1,000, N = 50, U = 500, about 1,900
-// delta edges per cycle): with the default TraceRing, the producer's
+// delta edges per cycle): with the 1,024-event traceRing, the producer's
 // per-cycle events — cycle-begin, cycle-end, the three producer-phase
 // events and the sg-delta event — of at least two whole cycles are there
 // after 8 ticks.
@@ -230,7 +230,6 @@ func TestRegRecorderSteadyStateAllocs(t *testing.T) {
 		{Type: obs.TypeCycleBegin},
 		{Type: obs.TypeCycleEnd, Slots: 1000},
 		{Type: obs.TypeCycleMissed},
-		{Type: obs.TypeFrame, Slots: 1000},
 		{Type: obs.TypeRead, Item: 7, Source: obs.SourceAir, Ser: 3},
 		{Type: obs.TypeInvHit, Item: 7, Reason: "fatal"},
 		{Type: obs.TypeRestart, Item: 7},

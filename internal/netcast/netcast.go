@@ -192,12 +192,6 @@ type Broadcaster struct {
 	bytesReceived atomic.Int64
 }
 
-// Listen starts a broadcaster on addr (e.g. "127.0.0.1:0") with the
-// default sharded configuration.
-func Listen(addr string) (*Broadcaster, error) {
-	return ListenConfig(addr, Config{})
-}
-
 // ListenConfig starts a broadcaster on addr with an explicit fan-out
 // configuration.
 func ListenConfig(addr string, cfg Config) (*Broadcaster, error) {
@@ -572,7 +566,6 @@ func (b *Broadcaster) Close() error {
 type Tuner struct {
 	conn net.Conn
 	r    *bufio.Reader
-	rec  obs.Recorder
 
 	corrupt atomic.Int64
 }
@@ -609,28 +602,17 @@ func (t *Tuner) Next() (*broadcast.Bcast, error) {
 	for {
 		b, err := wire.Decode(t.r)
 		if err == nil {
-			if t.rec != nil {
-				t.rec.Record(obs.Event{Type: obs.TypeFrame, T: obs.At(b.Cycle, 0), Slots: int64(b.Len())})
-			}
 			return b, nil
 		}
 		if !errors.Is(err, wire.ErrBadFrame) {
 			return nil, err // transport error or clean EOF
 		}
 		t.corrupt.Add(1)
-		if t.rec != nil {
-			t.rec.Record(obs.Event{Type: obs.TypeFault, Reason: "bad-frame"})
-		}
 		if err := t.resync(); err != nil {
 			return nil, err
 		}
 	}
 }
-
-// Observe attaches a trace recorder to the tuner: every decoded frame is
-// recorded as a frame event and every checksum-failed discard as a fault
-// event. Nil detaches. Call before the first Next.
-func (t *Tuner) Observe(rec obs.Recorder) { t.rec = rec }
 
 // resync scans forward until the next frame magic is at the head of the
 // stream. A failed decode leaves the reader at an arbitrary offset inside

@@ -27,8 +27,8 @@ type StationConfig struct {
 	// match DBSize.
 	Workload workload.ServerConfig
 	// Interval between becasts. Zero means the station only broadcasts
-	// when Tick is called (manual mode, used by tests and examples that
-	// want deterministic pacing).
+	// when Tick is called (manual mode, used by tests and the facade's
+	// ExampleNewStation, which want deterministic pacing).
 	Interval time.Duration
 	// Seed feeds the workload generator.
 	Seed int64
@@ -52,9 +52,6 @@ type StationConfig struct {
 	// registry as JSON, GET /statusz a plain-text operator summary, and
 	// GET /tracez the most recent trace events.
 	HTTPAddr string
-	// TraceRing bounds the in-memory trace buffer behind /tracez
-	// (default 1024 events).
-	TraceRing int
 	// Sample enables wall-clock latency attribution: the tick loop
 	// measures the commit and on-air tiers into span.* histograms and
 	// the broadcaster samples per-subscriber queue depth and per-shard
@@ -86,6 +83,9 @@ type StationConfig struct {
 	// bound how many cycles a restart replays.
 	SnapshotEvery int
 }
+
+// traceRing bounds the in-memory trace buffer behind /tracez, in events.
+const traceRing = 1024
 
 // DefaultSampleStride is the lag-sampling subscriber stride when
 // StationConfig.SampleStride is zero: at 10k subscribers roughly 150
@@ -128,7 +128,7 @@ type Station struct {
 // bpush-lint's deterministic scope (every obs.Recorder implementation
 // does), and span events already carry their nanosecond measurements from
 // the emitting tier's sampler. It is safe for concurrent use: the
-// producer and every ClientRecorder user share one.
+// producer and any in-process client recording into it share one.
 type regRecorder struct {
 	reg *obs.Registry
 	mu  sync.Mutex
@@ -258,12 +258,8 @@ func NewStation(cfg StationConfig) (*Station, error) {
 	if cfg.Pprof && cfg.HTTPAddr == "" {
 		return nil, fmt.Errorf("netcast: Pprof requires HTTPAddr")
 	}
-	ringSize := cfg.TraceRing
-	if ringSize <= 0 {
-		ringSize = 1024
-	}
 	reg := obs.NewRegistry()
-	ring := obs.NewRing(ringSize)
+	ring := obs.NewRing(traceRing)
 	fold := &regRecorder{reg: reg}
 	rec := obs.Tee(ring, fold)
 	var clock obs.Sampler
@@ -381,10 +377,6 @@ func (s *Station) Source() *cyclesource.Source { return s.src }
 // /metricsz endpoint renders.
 func (s *Station) Registry() *obs.Registry { return s.reg }
 
-// Trace returns the station's bounded trace ring — the buffer behind the
-// /tracez endpoint.
-func (s *Station) Trace() *obs.Ring { return s.ring }
-
 // MetricsAddr returns the HTTP metrics listening address, or "" when
 // StationConfig.HTTPAddr was empty.
 func (s *Station) MetricsAddr() string {
@@ -494,24 +486,6 @@ func (s *Station) recordSpan(c model.Cycle, tier string, ns int64) {
 		ns = 0
 	}
 	s.rec.Record(obs.Event{Type: obs.TypeSpan, T: obs.At(c, 0), Reason: tier, N: ns})
-}
-
-// ClientRecorder returns a recorder that folds client-side scheme events
-// into the station's metric registry — in-process clients attach it so
-// their per-read staleness events land in the same /metricsz snapshot as
-// the producer's tiers. It bypasses the trace ring: /tracez stays a
-// producer-side view instead of an interleaving of every client.
-func (s *Station) ClientRecorder() obs.Recorder { return s.fold }
-
-// FaultStats reports the mangler's cumulative fault counters; the zero
-// Stats when no fault plan is configured.
-func (s *Station) FaultStats() fault.Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.mangler == nil {
-		return fault.Stats{}
-	}
-	return s.mangler.Stats()
 }
 
 // Close stops the ticker, the metrics endpoint, the broadcaster, and the

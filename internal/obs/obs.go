@@ -92,9 +92,6 @@ const (
 	// TypeFault is one injected channel fault; Reason names the fault
 	// ("drop", "corrupt", "truncate", "duplicate", "reorder", "burst").
 	TypeFault Type = "fault"
-	// TypeFrame is one intact frame decoded off the wire by a network
-	// tuner; Slots carries the becast length.
-	TypeFrame Type = "frame"
 	// TypeProducerPhase closes one phase of the producer's commit
 	// pipeline; Reason names the phase (PhasePlan, PhasePlace,
 	// PhaseExecute) and N carries its unit count — transactions planned,

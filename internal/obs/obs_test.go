@@ -298,8 +298,8 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// The precomputed P50/P95/P99 fields must agree with recomputation.
-	if v, err := snap.Quantile(0.95); err != nil || v != snap.P95 {
-		t.Errorf("snapshot Quantile(0.95) = %g, %v; want P95 field %g", v, err, snap.P95)
+	if v := restored.Quantile(0.95); v != snap.P95 {
+		t.Errorf("restored Quantile(0.95) = %g, want P95 field %g", v, snap.P95)
 	}
 }
 
@@ -307,9 +307,6 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 // to recompute rather than return silently-wrong quantiles.
 func TestHistogramSnapshotQuantileErrors(t *testing.T) {
 	bad := HistogramSnapshot{Bounds: []float64{1, 2}, Counts: []uint64{1}, Count: 1, Min: 0, Max: 3, Sum: 3}
-	if _, err := bad.Quantile(0.5); err == nil {
-		t.Error("mismatched counts length accepted")
-	}
 	if _, err := bad.Restore(); err == nil {
 		t.Error("Restore accepted mismatched counts length")
 	}

@@ -150,22 +150,11 @@ type HistogramSnapshot struct {
 	P99    float64   `json:"p99"`
 }
 
-// Quantile recomputes the q-quantile exactly from the snapshot's bucket
-// bounds and counts — the round trip a decoded /metricsz snapshot goes
-// through offline. It returns the same value
-// the live histogram's Quantile would have, or an error when the
-// snapshot's bucket layout is inconsistent.
-func (s HistogramSnapshot) Quantile(q float64) (float64, error) {
-	h, err := stats.Restore(s.Bounds, s.Counts, s.Min, s.Max, s.Sum)
-	if err != nil {
-		return 0, err
-	}
-	return h.Quantile(q), nil
-}
-
-// Restore rebuilds the full stats.Histogram behind the snapshot, for
-// consumers that need more than one quantile or want to Merge several
-// snapshots (e.g. per-shard drain histograms) before querying.
+// Restore rebuilds the stats.Histogram behind the snapshot — the round
+// trip a decoded /metricsz snapshot goes through offline, so its
+// quantiles equal the live histogram's — or returns an error when the
+// snapshot's bucket layout is inconsistent. Several restored snapshots
+// (e.g. per-shard drain histograms) can be merged before querying.
 func (s HistogramSnapshot) Restore() (*stats.Histogram, error) {
 	return stats.Restore(s.Bounds, s.Counts, s.Min, s.Max, s.Sum)
 }

@@ -57,16 +57,6 @@ func (r *Ring) Events() []Event {
 	return out
 }
 
-// Len returns the number of retained events.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
 // Dropped returns how many events were overwritten before being read.
 func (r *Ring) Dropped() uint64 {
 	r.mu.Lock()

@@ -23,8 +23,6 @@ type Chart struct {
 	XLabel string
 	YLabel string
 	Lines  []Line
-	// Width and Height in pixels; defaults 720x440.
-	Width, Height int
 }
 
 // palette holds distinguishable series colors.
@@ -33,7 +31,10 @@ var palette = []string{
 	"#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
 }
 
+// Every chart is width x height pixels.
 const (
+	width        = 720
+	height       = 440
 	marginLeft   = 64
 	marginRight  = 160
 	marginTop    = 40
@@ -44,16 +45,6 @@ const (
 func (c *Chart) SVG() (string, error) {
 	if len(c.Lines) == 0 {
 		return "", fmt.Errorf("plot: no series")
-	}
-	w, h := c.Width, c.Height
-	if w == 0 {
-		w = 720
-	}
-	if h == 0 {
-		h = 440
-	}
-	if w < marginLeft+marginRight+40 || h < marginTop+marginBottom+40 {
-		return "", fmt.Errorf("plot: %dx%d too small", w, h)
 	}
 
 	minX, maxX := math.Inf(1), math.Inf(-1)
@@ -85,21 +76,21 @@ func (c *Chart) SVG() (string, error) {
 	}
 	maxY *= 1.05 // headroom
 
-	plotW := float64(w - marginLeft - marginRight)
-	plotH := float64(h - marginTop - marginBottom)
+	plotW := float64(width - marginLeft - marginRight)
+	plotH := float64(height - marginTop - marginBottom)
 	px := func(x float64) float64 { return float64(marginLeft) + (x-minX)/(maxX-minX)*plotW }
-	py := func(y float64) float64 { return float64(h-marginBottom) - (y-minY)/(maxY-minY)*plotH }
+	py := func(y float64) float64 { return float64(height-marginBottom) - (y-minY)/(maxY-minY)*plotH }
 
 	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="12">`+"\n", w, h)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`+"\n", w, h)
+	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="12">`+"\n", width, height)
+	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`+"\n", width, height)
 	fmt.Fprintf(&b, `<text x="%d" y="20" font-size="15" font-weight="bold">%s</text>`+"\n", marginLeft, escape(c.Title))
 
 	// Axes.
 	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n",
-		marginLeft, h-marginBottom, w-marginRight, h-marginBottom)
+		marginLeft, height-marginBottom, width-marginRight, height-marginBottom)
 	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n",
-		marginLeft, marginTop, marginLeft, h-marginBottom)
+		marginLeft, marginTop, marginLeft, height-marginBottom)
 
 	// Ticks: five per axis at nice positions.
 	for i := 0; i <= 4; i++ {
@@ -108,20 +99,20 @@ func (c *Chart) SVG() (string, error) {
 		x := px(fx)
 		y := py(fy)
 		fmt.Fprintf(&b, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="black"/>`+"\n",
-			x, h-marginBottom, x, h-marginBottom+4)
+			x, height-marginBottom, x, height-marginBottom+4)
 		fmt.Fprintf(&b, `<text x="%.1f" y="%d" text-anchor="middle">%s</text>`+"\n",
-			x, h-marginBottom+18, ftoa(fx))
+			x, height-marginBottom+18, ftoa(fx))
 		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="black"/>`+"\n",
 			marginLeft-4, y, marginLeft, y)
 		fmt.Fprintf(&b, `<text x="%d" y="%.1f" text-anchor="end" dominant-baseline="middle">%s</text>`+"\n",
 			marginLeft-8, y, ftoa(fy))
 		// Light gridline.
 		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#eeeeee"/>`+"\n",
-			marginLeft, y, w-marginRight, y)
+			marginLeft, y, width-marginRight, y)
 	}
 	// Axis labels.
 	fmt.Fprintf(&b, `<text x="%.1f" y="%d" text-anchor="middle">%s</text>`+"\n",
-		float64(marginLeft)+plotW/2, h-8, escape(c.XLabel))
+		float64(marginLeft)+plotW/2, height-8, escape(c.XLabel))
 	fmt.Fprintf(&b, `<text x="16" y="%.1f" text-anchor="middle" transform="rotate(-90 16 %.1f)">%s</text>`+"\n",
 		float64(marginTop)+plotH/2, float64(marginTop)+plotH/2, escape(c.YLabel))
 
@@ -142,9 +133,9 @@ func (c *Chart) SVG() (string, error) {
 		// Legend entry.
 		ly := marginTop + 16*si
 		fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" stroke-width="2"/>`+"\n",
-			w-marginRight+12, ly, w-marginRight+32, ly, color)
+			width-marginRight+12, ly, width-marginRight+32, ly, color)
 		fmt.Fprintf(&b, `<text x="%d" y="%d" dominant-baseline="middle">%s</text>`+"\n",
-			w-marginRight+38, ly, escape(l.Name))
+			width-marginRight+38, ly, escape(l.Name))
 	}
 	b.WriteString("</svg>\n")
 	return b.String(), nil

@@ -59,11 +59,6 @@ func TestSVGValidation(t *testing.T) {
 	if _, err := c.SVG(); err == nil {
 		t.Error("all-empty series accepted")
 	}
-	c = sample()
-	c.Width, c.Height = 10, 10
-	if _, err := c.SVG(); err == nil {
-		t.Error("tiny canvas accepted")
-	}
 }
 
 func TestSVGDegenerateRanges(t *testing.T) {

@@ -60,7 +60,7 @@ func (s *Server) serialCommit(txs []model.ServerTx) (*CycleLog, error) {
 	}
 
 	sort.Slice(log.Delta.Nodes, func(i, j int) bool { return log.Delta.Nodes[i].Before(log.Delta.Nodes[j]) })
-	sg.SortEdges(log.Delta.Edges)
+	sortEdges(log.Delta.Edges)
 	log.Updated = det.SortedKeys(log.FirstWriter)
 	log.NumCommitted = len(txs)
 	s.recordDelta(log)
@@ -73,7 +73,17 @@ func (s *Server) serialCommit(txs []model.ServerTx) (*CycleLog, error) {
 // their accumulation set in the canonical (To, From) order, so the edge
 // list never carries map-iteration order into the cycle log.
 func sortedEdges(edges map[sg.Edge]struct{}) []sg.Edge {
-	return det.SortedKeysFunc(edges, sg.EdgeLess)
+	out := make([]sg.Edge, 0, len(edges))
+	for e := range edges {
+		out = append(out, e)
+	}
+	sortEdges(out)
+	return out
+}
+
+// sortEdges sorts es in place into the canonical (To, From) order.
+func sortEdges(es []sg.Edge) {
+	sort.Slice(es, func(i, j int) bool { return sg.EdgeLess(es[i], es[j]) })
 }
 
 func (s *Server) applyRead(id model.TxID, item model.ItemID, edges map[sg.Edge]struct{}) {

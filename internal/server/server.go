@@ -154,18 +154,6 @@ func (s *Server) Cycle() model.Cycle { return s.cycle }
 // DBSize returns D.
 func (s *Server) DBSize() int { return s.cfg.DBSize }
 
-// MaxVersions returns S.
-func (s *Server) MaxVersions() int { return s.cfg.MaxVersions }
-
-// Current returns the current version of an item.
-func (s *Server) Current(id model.ItemID) (model.Version, error) {
-	if err := s.checkItem(id); err != nil {
-		return model.Version{}, err
-	}
-	vs := s.items[id-1].versions
-	return vs[len(vs)-1], nil
-}
-
 // Versions returns the retained versions of an item, oldest first; the
 // last element is the current version. The slice is a read-only view of
 // the server's own chain (capacity cut to length, so an append copies),

@@ -27,7 +27,6 @@ package sg
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"bpush/internal/model"
 )
@@ -49,11 +48,6 @@ func EdgeLess(a, b Edge) bool {
 		return a.To.Before(b.To)
 	}
 	return a.From.Before(b.From)
-}
-
-// SortEdges sorts es in place into the canonical (To, From) order.
-func SortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool { return EdgeLess(es[i], es[j]) })
 }
 
 // Delta is the per-cycle difference of the serialization graph that the

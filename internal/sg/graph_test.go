@@ -40,7 +40,7 @@ func nodes(c model.Cycle, n int) []model.TxID {
 
 // canonical sorts es into (To, From) order and drops duplicates, in place.
 func canonical(es []sg.Edge) []sg.Edge {
-	sg.SortEdges(es)
+	sort.Slice(es, func(i, j int) bool { return sg.EdgeLess(es[i], es[j]) })
 	uniq := es[:0]
 	for i, e := range es {
 		if i == 0 || e != es[i-1] {

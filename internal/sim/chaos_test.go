@@ -56,6 +56,16 @@ func chaosCellConfig(opts core.Options, plan fault.Plan, seed int64) Config {
 	return cfg
 }
 
+// shippedPlan returns fault's named plan.
+func shippedPlan(t testing.TB, name string) fault.Plan {
+	t.Helper()
+	p, err := fault.ParsePlan(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestChaosOracleAcrossSchemesAndPlans is the chaos property suite: every
 // scheme, under every shipped fault plan, with the consistency oracle on.
 // The property is the paper's correctness claim extended to a hostile
@@ -63,7 +73,8 @@ func chaosCellConfig(opts core.Options, plan fault.Plan, seed int64) Config {
 // accepted transaction is ever inconsistent, and no fault surfaces as an
 // infrastructure error. Each cell is exercised under two seeds.
 func TestChaosOracleAcrossSchemesAndPlans(t *testing.T) {
-	for name, plan := range fault.Plans() {
+	for _, name := range fault.PlanNames() {
+		plan := shippedPlan(t, name)
 		for _, opts := range chaosVariants {
 			for _, seed := range chaosSeeds {
 				opts, plan, seed := opts, plan, seed
@@ -105,7 +116,7 @@ func TestChaosGolden(t *testing.T) {
 		"noise":  "01f9539e56f8ebabebb66e75774e19c8227dbdc27d3f773d2b28138866e8701e",
 	}
 	for _, name := range fault.PlanNames() {
-		plan := fault.Plans()[name]
+		plan := shippedPlan(t, name)
 		h := sha256.New()
 		for _, opts := range chaosVariants {
 			for _, seed := range chaosSeeds {
@@ -179,7 +190,7 @@ func TestDropPlanMatchesDisconnectSchedule(t *testing.T) {
 // identical whatever the worker count — faults are drawn per client from
 // the client's own seed, never from shared state.
 func TestChaosDeterminism(t *testing.T) {
-	plan := fault.Plans()["chaos"]
+	plan := shippedPlan(t, "chaos")
 
 	cfg := chaosConfig(core.Options{Kind: core.KindSGT, TolerateDisconnects: true}, plan, 7)
 	a, err := Run(cfg)

@@ -114,14 +114,6 @@ func (h *Histogram) N() uint64 { return h.n }
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// Mean returns the sample mean (0 with no samples).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
 // Min returns the smallest sample (0 with no samples).
 func (h *Histogram) Min() float64 { return h.min }
 

@@ -8,34 +8,20 @@ import (
 	"strings"
 )
 
-// Accumulator collects a running mean/variance/min/max without storing
+// Accumulator collects a running mean and variance without storing
 // samples (Welford's algorithm).
 type Accumulator struct {
 	n        int
 	mean, m2 float64
-	min, max float64
 }
 
 // Add records one sample.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
 	d := x - a.mean
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
 }
-
-// N returns the sample count.
-func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the sample mean (0 with no samples).
 func (a *Accumulator) Mean() float64 { return a.mean }
@@ -50,36 +36,6 @@ func (a *Accumulator) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (a *Accumulator) Std() float64 { return math.Sqrt(a.Var()) }
-
-// Min returns the smallest sample (0 with no samples).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest sample (0 with no samples).
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Rate tracks successes over trials.
-type Rate struct {
-	hits, total int
-}
-
-// Observe records one trial.
-func (r *Rate) Observe(hit bool) {
-	r.total++
-	if hit {
-		r.hits++
-	}
-}
-
-// Value returns hits/total (0 with no trials).
-func (r *Rate) Value() float64 {
-	if r.total == 0 {
-		return 0
-	}
-	return float64(r.hits) / float64(r.total)
-}
-
-// Counts returns the raw counters.
-func (r *Rate) Counts() (hits, total int) { return r.hits, r.total }
 
 // Table renders rows of results as aligned text or CSV.
 type Table struct {

@@ -10,14 +10,14 @@ import (
 
 func TestAccumulatorBasics(t *testing.T) {
 	var a Accumulator
-	if a.N() != 0 || a.Mean() != 0 || a.Std() != 0 {
+	if a.n != 0 || a.Mean() != 0 || a.Std() != 0 {
 		t.Error("zero-value accumulator not neutral")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		a.Add(x)
 	}
-	if a.N() != 8 {
-		t.Errorf("N = %d, want 8", a.N())
+	if a.n != 8 {
+		t.Errorf("n = %d, want 8", a.n)
 	}
 	if math.Abs(a.Mean()-5) > 1e-12 {
 		t.Errorf("Mean = %g, want 5", a.Mean())
@@ -26,16 +26,13 @@ func TestAccumulatorBasics(t *testing.T) {
 	if want := math.Sqrt(32.0 / 7.0); math.Abs(a.Std()-want) > 1e-12 {
 		t.Errorf("Std = %g, want %g", a.Std(), want)
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Errorf("Min/Max = %g/%g, want 2/9", a.Min(), a.Max())
-	}
 }
 
 func TestAccumulatorSingleSample(t *testing.T) {
 	var a Accumulator
 	a.Add(3.5)
-	if a.Mean() != 3.5 || a.Var() != 0 || a.Min() != 3.5 || a.Max() != 3.5 {
-		t.Errorf("single sample: mean=%g var=%g min=%g max=%g", a.Mean(), a.Var(), a.Min(), a.Max())
+	if a.Mean() != 3.5 || a.Var() != 0 {
+		t.Errorf("single sample: mean=%g var=%g", a.Mean(), a.Var())
 	}
 }
 
@@ -64,24 +61,6 @@ func TestAccumulatorMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRate(t *testing.T) {
-	var r Rate
-	if r.Value() != 0 {
-		t.Error("empty rate not 0")
-	}
-	r.Observe(true)
-	r.Observe(false)
-	r.Observe(true)
-	r.Observe(true)
-	if r.Value() != 0.75 {
-		t.Errorf("Value = %g, want 0.75", r.Value())
-	}
-	hits, total := r.Counts()
-	if hits != 3 || total != 4 {
-		t.Errorf("Counts = %d/%d, want 3/4", hits, total)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 // state so that simulations stay deterministic under a single seed).
 type Dist struct {
 	n      int
-	theta  float64
 	offset int
 	mod    int
 	cdf    []float64 // cdf[i] = P(rank <= i+1)
@@ -67,7 +66,6 @@ func New(cfg Config) (*Dist, error) {
 	}
 	d := &Dist{
 		n:      cfg.N,
-		theta:  cfg.Theta,
 		offset: cfg.Offset % mod,
 		mod:    mod,
 		cdf:    make([]float64, cfg.N),
@@ -85,22 +83,6 @@ func New(cfg Config) (*Dist, error) {
 	return d, nil
 }
 
-// MustNew is New for configurations known to be valid at compile time; it
-// panics on error and exists for tests and examples.
-func MustNew(cfg Config) *Dist {
-	d, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// N returns the number of ranks.
-func (d *Dist) N() int { return d.n }
-
-// Theta returns the skew parameter.
-func (d *Dist) Theta() float64 { return d.theta }
-
 // Sample draws one item in 1..Mod using rng.
 func (d *Dist) Sample(rng *rand.Rand) int {
 	u := rng.Float64()
@@ -109,51 +91,4 @@ func (d *Dist) Sample(rng *rand.Rand) int {
 		rank = d.n
 	}
 	return (rank-1+d.offset)%d.mod + 1
-}
-
-// Prob returns the probability that Sample returns item (1-based, in
-// 1..Mod). Items outside the rotated support have probability 0.
-func (d *Dist) Prob(item int) float64 {
-	if item < 1 || item > d.mod {
-		return 0
-	}
-	// Invert the rotation to recover the rank.
-	rank := (item-1-d.offset%d.mod+d.mod)%d.mod + 1
-	if rank > d.n {
-		return 0
-	}
-	if rank == 1 {
-		return d.cdf[0]
-	}
-	return d.cdf[rank-1] - d.cdf[rank-2]
-}
-
-// Overlap computes the total probability mass this distribution places on
-// the top-k items of other, a measure of the read/update pattern overlap
-// discussed around Figure 5 (right).
-func (d *Dist) Overlap(other *Dist, k int) float64 {
-	type ip struct {
-		item int
-		p    float64
-	}
-	tops := make([]ip, 0, other.mod)
-	for item := 1; item <= other.mod; item++ {
-		if p := other.Prob(item); p > 0 {
-			tops = append(tops, ip{item, p})
-		}
-	}
-	sort.Slice(tops, func(i, j int) bool {
-		if tops[i].p != tops[j].p {
-			return tops[i].p > tops[j].p
-		}
-		return tops[i].item < tops[j].item
-	})
-	if k > len(tops) {
-		k = len(tops)
-	}
-	mass := 0.0
-	for _, t := range tops[:k] {
-		mass += d.Prob(t.item)
-	}
-	return mass
 }

@@ -35,7 +35,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestProbSumsToOne(t *testing.T) {
 	for _, theta := range []float64{0, 0.5, 0.95, 1.5} {
-		d := MustNew(Config{N: 100, Theta: theta})
+		d := mustNew(Config{N: 100, Theta: theta})
 		sum := 0.0
 		for i := 1; i <= 100; i++ {
 			sum += d.Prob(i)
@@ -47,7 +47,7 @@ func TestProbSumsToOne(t *testing.T) {
 }
 
 func TestProbMonotoneInRank(t *testing.T) {
-	d := MustNew(Config{N: 50, Theta: 0.95})
+	d := mustNew(Config{N: 50, Theta: 0.95})
 	for i := 1; i < 50; i++ {
 		if d.Prob(i) < d.Prob(i+1) {
 			t.Fatalf("Prob(%d)=%g < Prob(%d)=%g; Zipf must be non-increasing in rank",
@@ -57,7 +57,7 @@ func TestProbMonotoneInRank(t *testing.T) {
 }
 
 func TestUniformWhenThetaZero(t *testing.T) {
-	d := MustNew(Config{N: 10, Theta: 0})
+	d := mustNew(Config{N: 10, Theta: 0})
 	for i := 1; i <= 10; i++ {
 		if math.Abs(d.Prob(i)-0.1) > 1e-9 {
 			t.Errorf("Prob(%d) = %g, want 0.1", i, d.Prob(i))
@@ -66,7 +66,7 @@ func TestUniformWhenThetaZero(t *testing.T) {
 }
 
 func TestSampleMatchesProb(t *testing.T) {
-	d := MustNew(Config{N: 20, Theta: 0.95})
+	d := mustNew(Config{N: 20, Theta: 0.95})
 	rng := rand.New(rand.NewSource(42))
 	const n = 200000
 	counts := make([]int, 21)
@@ -87,7 +87,7 @@ func TestSampleMatchesProb(t *testing.T) {
 }
 
 func TestOffsetRotatesHotSpot(t *testing.T) {
-	d := MustNew(Config{N: 100, Theta: 0.95, Offset: 40})
+	d := mustNew(Config{N: 100, Theta: 0.95, Offset: 40})
 	// Rank 1 maps to item 41.
 	best, bestP := 0, 0.0
 	for i := 1; i <= 100; i++ {
@@ -101,7 +101,7 @@ func TestOffsetRotatesHotSpot(t *testing.T) {
 }
 
 func TestOffsetSamplesStayInModRange(t *testing.T) {
-	d := MustNew(Config{N: 100, Theta: 0.95, Offset: 70})
+	d := mustNew(Config{N: 100, Theta: 0.95, Offset: 70})
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 10000; i++ {
 		s := d.Sample(rng)
@@ -114,8 +114,8 @@ func TestOffsetSamplesStayInModRange(t *testing.T) {
 func TestOffsetProbPreservesMass(t *testing.T) {
 	// Rotation is a bijection: the multiset of probabilities is unchanged.
 	f := func(off uint8) bool {
-		base := MustNew(Config{N: 30, Theta: 0.95})
-		rot := MustNew(Config{N: 30, Theta: 0.95, Offset: int(off)})
+		base := mustNew(Config{N: 30, Theta: 0.95})
+		rot := mustNew(Config{N: 30, Theta: 0.95, Offset: int(off)})
 		sum := 0.0
 		for i := 1; i <= 30; i++ {
 			sum += rot.Prob(i)
@@ -133,7 +133,7 @@ func TestOffsetProbPreservesMass(t *testing.T) {
 }
 
 func TestProbOutOfRange(t *testing.T) {
-	d := MustNew(Config{N: 10, Theta: 0.95, Mod: 20})
+	d := mustNew(Config{N: 10, Theta: 0.95, Mod: 20})
 	if p := d.Prob(0); p != 0 {
 		t.Errorf("Prob(0) = %g, want 0", p)
 	}
@@ -146,29 +146,8 @@ func TestProbOutOfRange(t *testing.T) {
 	}
 }
 
-func TestOverlapDecreasesWithOffset(t *testing.T) {
-	client := MustNew(Config{N: 1000, Theta: 0.95})
-	prev := math.Inf(1)
-	for _, off := range []int{0, 50, 100, 200, 250} {
-		server := MustNew(Config{N: 500, Theta: 0.95, Offset: off})
-		ov := client.Overlap(server, 50)
-		if ov > prev+1e-9 {
-			t.Errorf("overlap at offset %d = %g, exceeds previous %g; expected monotone decrease", off, ov, prev)
-		}
-		prev = ov
-	}
-}
-
-func TestOverlapIdentity(t *testing.T) {
-	d := MustNew(Config{N: 100, Theta: 0.95})
-	full := d.Overlap(d, 100)
-	if math.Abs(full-1) > 1e-9 {
-		t.Errorf("Overlap(self, N) = %g, want 1", full)
-	}
-}
-
 func TestSampleDeterministicPerSeed(t *testing.T) {
-	d := MustNew(Config{N: 100, Theta: 0.95})
+	d := mustNew(Config{N: 100, Theta: 0.95})
 	a := rand.New(rand.NewSource(1))
 	b := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
@@ -178,17 +157,26 @@ func TestSampleDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// mustNew is New for configurations the tests know to be valid.
+func mustNew(cfg Config) *Dist {
+	d, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("MustNew with invalid config did not panic")
 		}
 	}()
-	MustNew(Config{N: -1})
+	mustNew(Config{N: -1})
 }
 
 func BenchmarkSample(b *testing.B) {
-	d := MustNew(Config{N: 1000, Theta: 0.95})
+	d := mustNew(Config{N: 1000, Theta: 0.95})
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
