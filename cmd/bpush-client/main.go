@@ -17,9 +17,7 @@ import (
 	"bpush/internal/client"
 	"bpush/internal/core"
 	"bpush/internal/netcast"
-	"bpush/internal/zipf"
-
-	"bpush/internal/model"
+	"bpush/internal/workload"
 )
 
 func main() {
@@ -68,24 +66,14 @@ func run(args []string, out io.Writer) error {
 }
 
 func runQueries(out io.Writer, cl *client.Client, queries, ops int, theta float64, seed int64) error {
-	dist, err := zipf.New(zipf.Config{N: cl.Items(), Theta: theta})
+	gen, err := workload.NewQueryGen(workload.ClientConfig{ReadRange: cl.Items(), Theta: theta, OpsPerQuery: ops},
+		rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(seed))
 	committed := 0
 	for q := 0; q < queries; q++ {
-		items := make([]model.ItemID, 0, ops)
-		seen := make(map[model.ItemID]struct{}, ops)
-		for len(items) < ops {
-			it := model.ItemID(dist.Sample(rng))
-			if _, dup := seen[it]; dup {
-				continue
-			}
-			seen[it] = struct{}{}
-			items = append(items, it)
-		}
-		res, err := cl.RunQuery(items)
+		res, err := cl.RunQuery(gen.Query())
 		if err != nil {
 			return err
 		}

@@ -70,6 +70,18 @@ func TestRunAgainstLiveStation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMoreOpsThanItems checks that a query asking for more
+// distinct items than the station carries is refused instead of drawing
+// forever.
+func TestRunRejectsMoreOpsThanItems(t *testing.T) {
+	st := startStation(t)
+	var out strings.Builder
+	err := run([]string{"-addr", st.Addr(), "-ops", "61", "-queries", "1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "exceeds ReadRange") {
+		t.Errorf("-ops 61 against 60 items: err = %v, want exceeds ReadRange", err)
+	}
+}
+
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-scheme", "nope"}, &out); err == nil {

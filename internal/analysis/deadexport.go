@@ -18,7 +18,9 @@ import (
 // Exempt are:
 //
 //   - a method that makes its type satisfy an interface the loaded
-//     packages declare or use, or one declared by a package they import;
+//     packages declare or use, or one declared by a package they import,
+//     also when it does so for a type that embeds its receiver and
+//     promotes the method;
 //   - the errors protocol, Is(error) bool, As(any) bool and
 //     Unwrap() error, which errors.Is and errors.As reach through an
 //     interface the module never names;
@@ -32,6 +34,7 @@ func DeadExportAnalyzer() *Analyzer {
 	a.RunModule = func(p *ModulePass) {
 		used := usedObjects(p.Pkgs)
 		ifaces := interfacesByMethod(p.Pkgs)
+		named := namedTypes(p.Pkgs)
 		report := func(obj types.Object, kind, name string) {
 			p.Reportf(obj.Pos(), "exported %s %s of %s has no use outside tests: delete it or move it into a _test.go file", kind, name, obj.Pkg().Path())
 		}
@@ -49,13 +52,13 @@ func DeadExportAnalyzer() *Analyzer {
 				if !ok || tn.IsAlias() {
 					continue
 				}
-				named, ok := tn.Type().(*types.Named)
+				recv, ok := tn.Type().(*types.Named)
 				if !ok {
 					continue
 				}
-				for i := 0; i < named.NumMethods(); i++ {
-					m := named.Method(i)
-					if !m.Exported() || used[m] || errorsProtocol(m) || satisfiesInterface(named, m.Name(), ifaces) {
+				for i := 0; i < recv.NumMethods(); i++ {
+					m := recv.Method(i)
+					if !m.Exported() || used[m] || errorsProtocol(m) || satisfiesInterface(recv, m.Name(), ifaces) || promotedToInterface(m, named, ifaces) {
 						continue
 					}
 					report(m, "method", name+"."+m.Name())
@@ -200,6 +203,34 @@ func satisfiesInterface(named *types.Named, name string, ifaces map[string][]*ty
 	ptr := types.NewPointer(named)
 	for _, iface := range ifaces[name] {
 		if types.Implements(named, iface) || types.Implements(ptr, iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// namedTypes lists the package-level named types of the loaded packages.
+func namedTypes(pkgs []*Package) []*types.Named {
+	var out []*types.Named
+	for _, pkg := range pkgs {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok {
+					out = append(out, n)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// promotedToInterface reports whether m is promoted into some type of
+// named that, through it, implements an indexed interface asking for it.
+func promotedToInterface(m *types.Func, named []*types.Named, ifaces map[string][]*types.Interface) bool {
+	for _, n := range named {
+		obj, _, _ := types.LookupFieldOrMethod(n, true, m.Pkg(), m.Name())
+		if obj == m && satisfiesInterface(n, m.Name(), ifaces) {
 			return true
 		}
 	}

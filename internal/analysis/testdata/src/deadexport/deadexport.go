@@ -23,7 +23,7 @@ func (m *Meter) Add(d int) { m.n += d } // want "exported method Meter.Add"
 // Helper has no caller outside its package, which is use enough.
 func Helper() int { return 2 }
 
-func run() int { return Helper() + len(Box{}.String()) + sizeOf(Box{}) }
+func run() int { return Helper() + len(Box{}.String()) + sizeOf(Box{}) + count(&Tally{}) }
 
 // Sizer is declared here; Box satisfies it through Size.
 type Sizer interface{ Size() int }
@@ -36,6 +36,26 @@ func (b Box) Size() int { return len(b.items) }
 func (b Box) String() string { return fmt.Sprint(b.items) }
 
 func sizeOf(s Sizer) int { return s.Size() }
+
+// counter is embedded by Tally, which satisfies Counter through the
+// promoted Count and its own Label; counter alone satisfies nothing, and
+// no interface asks for the promoted Reset.
+type counter struct{ n int }
+
+func (c *counter) Count() int { return c.n }
+
+func (c *counter) Reset() { c.n = 0 } // want "exported method counter.Reset"
+
+type Counter interface {
+	Count() int
+	Label() string
+}
+
+type Tally struct{ counter }
+
+func (Tally) Label() string { return "tally" }
+
+func count(c Counter) int { return c.Count() }
 
 // NotFound's Is is reached by errors.Is through an interface the
 // package never names.

@@ -36,6 +36,7 @@ import (
 	"slices"
 
 	"bpush/internal/broadcast"
+	"bpush/internal/cache"
 	"bpush/internal/model"
 	"bpush/internal/obs"
 )
@@ -346,19 +347,161 @@ func New(opts Options) (Scheme, error) {
 	}
 }
 
-// missRange downgrades an undeclared cycle gap to explicit misses: every
-// cycle in [from, to) is delivered to the scheme as a MissCycle. This is
-// the schemes' own receive-path hardening — a damaged or lost becast that
-// reaches NewCycle only as a jump in the cycle numbering is treated
-// exactly like a disconnection, feeding the resync/tolerate machinery
-// instead of corrupting scheme state.
-func missRange(s Scheme, from, to model.Cycle) error {
-	for c := from; c < to; c++ {
-		if err := s.MissCycle(c); err != nil {
-			return err
+// session is the client protocol the paper's methods share (§2): tune in
+// to every becast in order, serve each read from the cache or the air, and
+// close the transaction at commit. Every scheme embeds one and keeps only
+// its method's policy: how it applies a cycle's control information, its
+// read rules and its serialization cycle.
+type session struct {
+	opts  Options
+	cur   *broadcast.Bcast
+	prev  *broadcast.Bcast
+	cache *cache.Cache // current versions; nil when cacheless
+	t     txn
+	// keyScratch and invScratch are per-cycle walk scratch, reused.
+	keyScratch []model.ItemID
+	invScratch []model.ItemID
+}
+
+// newSession builds the session of a scheme whose cache, if any, is a
+// plain current-version cache of opts.CacheSize pages.
+func newSession(opts Options) (session, error) {
+	s := session{opts: opts}
+	if opts.CacheSize > 0 {
+		c, err := cache.New(opts.CacheSize)
+		if err != nil {
+			return session{}, err
+		}
+		s.cache = c
+	}
+	return s, nil
+}
+
+// Active implements Scheme.
+func (s *session) Active() bool { return s.t.active }
+
+// Begin implements Scheme. A scheme's own per-transaction state is
+// already clear here: every Commit and Abort resets it.
+func (s *session) Begin() error {
+	if s.cur == nil {
+		return fmt.Errorf("core: Begin before first cycle")
+	}
+	return s.t.begin(s.opts.Recorder != nil)
+}
+
+// admit opens every NewCycle. It returns false, with a nil error, for a
+// duplicate or late frame (already processed). An undeclared gap before b
+// is downgraded to explicit misses of sch, unless the scheme has already
+// been told of it (declared): a damaged or lost becast that reaches
+// NewCycle only as a jump in the cycle numbering is treated exactly like
+// a disconnection, feeding the resync/tolerate machinery instead of
+// corrupting scheme state.
+func (s *session) admit(sch Scheme, b *broadcast.Bcast, declared bool) (bool, error) {
+	if s.cur == nil {
+		return true, nil
+	}
+	if b.Cycle <= s.cur.Cycle {
+		return false, nil
+	}
+	if !declared {
+		for c := s.cur.Cycle + 1; c < b.Cycle; c++ {
+			if err := sch.MissCycle(c); err != nil {
+				return false, err
+			}
 		}
 	}
-	return nil
+	return true, nil
+}
+
+// advance makes b the current becast and refreshes every invalidated
+// cache page with the value the previous becast carried: the paper's
+// invalidation-with-autoprefetch policy (§4), modeled as taking effect by
+// the end of the cycle in which the new value was re-broadcast.
+func (s *session) advance(b *broadcast.Bcast) {
+	s.prev, s.cur = s.cur, b
+	if s.cache == nil || s.prev == nil {
+		return
+	}
+	s.invScratch = s.cache.AppendInvalidItems(s.invScratch[:0])
+	for _, item := range s.invScratch {
+		if v, err := s.prev.ReadCurrent(item); err == nil {
+			s.cache.Put(item, v)
+		} else {
+			s.cache.Remove(item)
+		}
+	}
+}
+
+// flushCache empties the cache: missed invalidation reports make its
+// entries untrustworthy.
+func (s *session) flushCache() {
+	if s.cache != nil {
+		s.cache.Clear()
+	}
+}
+
+// locate returns the first slot of item on the current becast, once the
+// transaction is known to be servable. ErrNextCycle means the item is not
+// in this interval's chunk (§7 h-interval organization) and comes around
+// in a later becast.
+func (s *session) locate(item model.ItemID) (int, error) {
+	if err := s.t.checkServable(); err != nil {
+		return 0, err
+	}
+	first := s.cur.Position(item)
+	if first < 0 {
+		if s.cur.InDatabase(item) {
+			return 0, ErrNextCycle
+		}
+		return 0, fmt.Errorf("core: %v not in the database", item)
+	}
+	return first, nil
+}
+
+// onAir is the prologue of a read of item's current version off the
+// channel at position pos: the version and the slot of its next
+// occurrence, or ErrNextCycle when that has already gone by.
+func (s *session) onAir(item model.ItemID, pos int) (model.Version, int, error) {
+	if _, err := s.locate(item); err != nil {
+		return model.Version{}, 0, err
+	}
+	slot := s.cur.NextPosition(item, pos)
+	if slot < 0 {
+		return model.Version{}, 0, ErrNextCycle
+	}
+	v, err := s.cur.ReadCurrent(item)
+	return v, slot, err
+}
+
+// deliver records a served read in the transaction and the trace.
+func (s *session) deliver(item model.ItemID, v model.Version, src ReadSource, slot int) Read {
+	ro := model.ReadObservation{Item: item, Value: v.Value, Version: v.Cycle, Writer: v.Writer}
+	s.t.record(ro, s.cur)
+	recordRead(s.opts.Recorder, s.cur.Cycle, slot, item, v, src)
+	return Read{Obs: ro, Source: src}
+}
+
+// commit closes the active transaction, emitting its staleness events
+// under method when it commits. The CommitInfo it returns serializes at
+// the commit cycle; a scheme whose theorem names another cycle overwrites
+// SerializationCycle, and resets its own per-transaction state, after.
+func (s *session) commit(method string) (CommitInfo, error) {
+	if err := s.t.checkServable(); err != nil {
+		s.t.reset()
+		return CommitInfo{}, err
+	}
+	info := CommitInfo{
+		Reads:              s.t.committedReads(),
+		StartCycle:         s.t.start,
+		CommitCycle:        s.cur.Cycle,
+		SerializationCycle: s.cur.Cycle,
+	}
+	if info.StartCycle == 0 {
+		info.StartCycle = s.cur.Cycle
+	}
+	s.t.emitStaleness(s.opts.Recorder, method, s.cur.Cycle)
+	s.t.reset()
+	return info, nil
 }
 
 // readMeta is the per-read staleness bookkeeping kept only when the

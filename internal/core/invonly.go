@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bpush/internal/broadcast"
-	"bpush/internal/cache"
 	"bpush/internal/det"
 	"bpush/internal/model"
 )
@@ -24,21 +23,13 @@ import (
 // as every further read finds a cache entry whose version predates u
 // (Theorem 4: the readset equals the state of cycle u-1).
 type invOnly struct {
-	opts      Options
+	session
 	versioned bool
-
-	cur    *broadcast.Bcast
-	prev   *broadcast.Bcast
-	cache  *cache.Cache // nil when cacheless
-	t      txn
-	marked model.Cycle // u: cycle of the first readset invalidation (0 = fresh)
+	marked    model.Cycle // u: cycle of the first readset invalidation (0 = fresh)
 
 	// invalidate is the per-cycle cache-invalidation callback, built
 	// once at construction so NewCycle allocates no closure.
 	invalidate func(model.ItemID)
-	// keyScratch and invScratch are per-cycle walk scratch, reused.
-	keyScratch []model.ItemID
-	invScratch []model.ItemID
 
 	// Reconnection-resync state (Options.ResyncOnReconnect).
 	pendingResync bool
@@ -48,16 +39,15 @@ type invOnly struct {
 var _ Scheme = (*invOnly)(nil)
 
 func newInvOnly(opts Options, versioned bool) (*invOnly, error) {
-	s := &invOnly{opts: opts, versioned: versioned}
 	if versioned && opts.CacheSize == 0 {
 		return nil, fmt.Errorf("core: %v requires a cache", opts.Kind)
 	}
-	if opts.CacheSize > 0 {
-		c, err := cache.New(opts.CacheSize)
-		if err != nil {
-			return nil, err
-		}
-		s.cache = c
+	ss, err := newSession(opts)
+	if err != nil {
+		return nil, err
+	}
+	s := &invOnly{session: ss, versioned: versioned}
+	if s.cache != nil {
 		s.invalidate = func(item model.ItemID) { s.cache.Invalidate(item) }
 	}
 	return s, nil
@@ -82,21 +72,6 @@ func (s *invOnly) Kind() Kind {
 	return KindInvOnly
 }
 
-// Active implements Scheme.
-func (s *invOnly) Active() bool { return s.t.active }
-
-// Begin implements Scheme.
-func (s *invOnly) Begin() error {
-	if s.cur == nil {
-		return fmt.Errorf("core: Begin before first cycle")
-	}
-	if err := s.t.begin(s.opts.Recorder != nil); err != nil {
-		return err
-	}
-	s.marked = 0
-	return nil
-}
-
 // Abort implements Scheme.
 func (s *invOnly) Abort() { s.t.reset(); s.marked = 0 }
 
@@ -104,23 +79,14 @@ func (s *invOnly) Abort() { s.t.reset(); s.marked = 0 }
 //
 //lint:hotpath runs once per client per broadcast cycle
 func (s *invOnly) NewCycle(b *broadcast.Bcast) error {
-	if s.cur != nil {
-		if b.Cycle <= s.cur.Cycle {
-			return nil // duplicate or late frame: already processed
-		}
-		if b.Cycle != s.cur.Cycle+1 && !s.pendingResync {
-			// Undeclared gap: downgrade the lost cycles to misses.
-			if err := missRange(s, s.cur.Cycle+1, b.Cycle); err != nil {
-				return err
-			}
-		}
+	if ok, err := s.admit(s, b, s.pendingResync); !ok {
+		return err
 	}
 	if s.pendingResync {
 		s.resync(b)
 		s.prev, s.cur = nil, b // pre-gap becast must not feed autoprefetch
 	} else {
-		s.prev, s.cur = s.cur, b
-		s.invScratch = autoprefetch(s.cache, s.prev, s.invScratch)
+		s.advance(b)
 	}
 	if s.cache != nil {
 		b.EachInvalidated(s.opts.BucketGranularity, s.invalidate)
@@ -165,7 +131,7 @@ func (s *invOnly) MissCycle(c model.Cycle) error {
 	if s.t.active && s.t.doomed == nil {
 		s.t.doomed = abortErr("missed cycle %v (invalidation report lost)", c)
 	}
-	flushCache(s.cache)
+	s.flushCache()
 	s.cur = nil // force resync via next NewCycle
 	return nil
 }
@@ -259,22 +225,7 @@ func (s *invOnly) serveMarked(item model.ItemID) (Read, bool, error) {
 
 // ServeChannel implements Scheme.
 func (s *invOnly) ServeChannel(item model.ItemID, pos int) (Read, int, error) {
-	if err := s.t.checkServable(); err != nil {
-		return Read{}, 0, err
-	}
-	if s.cur.Position(item) < 0 {
-		if s.cur.InDatabase(item) {
-			// Not in this interval's chunk (§7 h-interval organization);
-			// the item comes around in a later becast.
-			return Read{}, 0, ErrNextCycle
-		}
-		return Read{}, 0, fmt.Errorf("core: %v not in the database", item)
-	}
-	slot := s.cur.NextPosition(item, pos)
-	if slot < 0 {
-		return Read{}, 0, ErrNextCycle
-	}
-	v, err := s.cur.ReadCurrent(item)
+	v, slot, err := s.onAir(item, pos)
 	if err != nil {
 		return Read{}, 0, err
 	}
@@ -288,60 +239,12 @@ func (s *invOnly) ServeChannel(item model.ItemID, pos int) (Read, int, error) {
 	return s.deliver(item, v, SourceBroadcast, slot), slot, nil
 }
 
-func (s *invOnly) deliver(item model.ItemID, v model.Version, src ReadSource, slot int) Read {
-	ro := model.ReadObservation{Item: item, Value: v.Value, Version: v.Cycle, Writer: v.Writer}
-	s.t.record(ro, s.cur)
-	recordRead(s.opts.Recorder, s.cur.Cycle, slot, item, v, src)
-	return Read{Obs: ro, Source: src}
-}
-
 // Commit implements Scheme.
 func (s *invOnly) Commit() (CommitInfo, error) {
-	if err := s.t.checkServable(); err != nil {
-		s.t.reset()
-		return CommitInfo{}, err
+	info, err := s.commit(s.Name()) // Theorem 1: state of the commit cycle
+	if err == nil && s.marked != 0 {
+		info.SerializationCycle = s.marked - 1 // Theorem 4: state before the first invalidation
 	}
-	ser := s.cur.Cycle // Theorem 1: state of the commit cycle
-	if s.versioned && s.marked != 0 {
-		ser = s.marked - 1 // Theorem 4: state before the first invalidation
-	}
-	info := CommitInfo{
-		Reads:              s.t.committedReads(),
-		StartCycle:         s.t.start,
-		CommitCycle:        s.cur.Cycle,
-		SerializationCycle: ser,
-	}
-	if info.StartCycle == 0 {
-		info.StartCycle = s.cur.Cycle
-	}
-	s.t.emitStaleness(s.opts.Recorder, s.Name(), s.cur.Cycle)
-	s.t.reset()
 	s.marked = 0
-	return info, nil
-}
-
-// autoprefetch refreshes every invalidated cache page with the value the
-// previous becast carried: the paper's invalidation-with-autoprefetch
-// policy (§4), modeled as taking effect by the end of the cycle in which
-// the new value was re-broadcast. scratch is the caller's retained
-// buffer for the invalid pages; the grown buffer is returned for reuse.
-func autoprefetch(c *cache.Cache, prev *broadcast.Bcast, scratch []model.ItemID) []model.ItemID {
-	if c == nil || prev == nil {
-		return scratch
-	}
-	scratch = c.AppendInvalidItems(scratch[:0])
-	for _, item := range scratch {
-		if v, err := prev.ReadCurrent(item); err == nil {
-			c.Put(item, v)
-		} else {
-			c.Remove(item)
-		}
-	}
-	return scratch
-}
-
-func flushCache(c *cache.Cache) {
-	if c != nil {
-		c.Clear()
-	}
+	return info, err
 }

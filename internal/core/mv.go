@@ -1,10 +1,7 @@
 package core
 
 import (
-	"fmt"
-
 	"bpush/internal/broadcast"
-	"bpush/internal/cache"
 	"bpush/internal/model"
 )
 
@@ -22,28 +19,17 @@ import (
 // s can miss up to S-s cycles and resume, as long as the versions it still
 // needs remain on air (§5.2.2).
 type mvBroadcast struct {
-	opts Options
-
-	cur   *broadcast.Bcast
-	prev  *broadcast.Bcast
-	cache *cache.Cache // nil when cacheless; holds current versions
-	t     txn
-	// invScratch is the autoprefetch scratch, reused per cycle.
-	invScratch []model.ItemID
+	session
 }
 
 var _ Scheme = (*mvBroadcast)(nil)
 
 func newMVBroadcast(opts Options) (*mvBroadcast, error) {
-	s := &mvBroadcast{opts: opts}
-	if opts.CacheSize > 0 {
-		c, err := cache.New(opts.CacheSize)
-		if err != nil {
-			return nil, err
-		}
-		s.cache = c
+	ss, err := newSession(opts)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &mvBroadcast{session: ss}, nil
 }
 
 // Name implements Scheme.
@@ -57,17 +43,6 @@ func (s *mvBroadcast) Name() string {
 // Kind implements Scheme.
 func (s *mvBroadcast) Kind() Kind { return KindMVBroadcast }
 
-// Active implements Scheme.
-func (s *mvBroadcast) Active() bool { return s.t.active }
-
-// Begin implements Scheme.
-func (s *mvBroadcast) Begin() error {
-	if s.cur == nil {
-		return fmt.Errorf("core: Begin before first cycle")
-	}
-	return s.t.begin(s.opts.Recorder != nil)
-}
-
 // Abort implements Scheme.
 func (s *mvBroadcast) Abort() { s.t.reset() }
 
@@ -75,20 +50,12 @@ func (s *mvBroadcast) Abort() { s.t.reset() }
 //
 //lint:hotpath runs once per client per broadcast cycle
 func (s *mvBroadcast) NewCycle(b *broadcast.Bcast) error {
-	if s.cur != nil {
-		if b.Cycle <= s.cur.Cycle {
-			return nil // duplicate or late frame: already processed
-		}
-		if b.Cycle != s.cur.Cycle+1 {
-			// A gap is a tolerated disconnection for this method;
-			// downgrade the lost cycles to misses (which flush the cache).
-			if err := missRange(s, s.cur.Cycle+1, b.Cycle); err != nil {
-				return err
-			}
-		}
+	// A gap is a tolerated disconnection for this method; its misses
+	// only flush the cache.
+	if ok, err := s.admit(s, b, false); !ok {
+		return err
 	}
-	s.prev, s.cur = s.cur, b
-	s.invScratch = autoprefetch(s.cache, s.prev, s.invScratch)
+	s.advance(b)
 	if s.cache != nil {
 		for _, e := range b.Report {
 			s.cache.Invalidate(e.Item)
@@ -103,7 +70,7 @@ func (s *mvBroadcast) NewCycle(b *broadcast.Bcast) error {
 // when it resumes. The cache is flushed because missed invalidation
 // reports make current entries untrustworthy.
 func (s *mvBroadcast) MissCycle(model.Cycle) error {
-	flushCache(s.cache)
+	s.flushCache()
 	return nil
 }
 
@@ -130,15 +97,9 @@ func (s *mvBroadcast) ServeLocal(item model.ItemID) (Read, bool, error) {
 
 // ServeChannel implements Scheme.
 func (s *mvBroadcast) ServeChannel(item model.ItemID, pos int) (Read, int, error) {
-	if err := s.t.checkServable(); err != nil {
+	first, err := s.locate(item)
+	if err != nil {
 		return Read{}, 0, err
-	}
-	first := s.cur.Position(item)
-	if first < 0 {
-		if s.cur.InDatabase(item) {
-			return Read{}, 0, ErrNextCycle
-		}
-		return Read{}, 0, fmt.Errorf("core: %v not in the database", item)
 	}
 	entry, err := s.cur.EntryAt(first)
 	if err != nil {
@@ -171,31 +132,10 @@ func (s *mvBroadcast) ServeChannel(item model.ItemID, pos int) (Read, int, error
 	return Read{}, 0, s.t.doomed
 }
 
-func (s *mvBroadcast) deliver(item model.ItemID, v model.Version, src ReadSource, slot int) Read {
-	ro := model.ReadObservation{Item: item, Value: v.Value, Version: v.Cycle, Writer: v.Writer}
-	s.t.record(ro, s.cur)
-	recordRead(s.opts.Recorder, s.cur.Cycle, slot, item, v, src)
-	return Read{Obs: ro, Source: src}
-}
-
 // Commit implements Scheme. Theorem 2: the readset corresponds to the
 // database state broadcast at c0, the cycle of the first read.
 func (s *mvBroadcast) Commit() (CommitInfo, error) {
-	if err := s.t.checkServable(); err != nil {
-		s.t.reset()
-		return CommitInfo{}, err
-	}
-	start := s.t.start
-	if start == 0 {
-		start = s.cur.Cycle
-	}
-	info := CommitInfo{
-		Reads:              s.t.committedReads(),
-		StartCycle:         start,
-		CommitCycle:        s.cur.Cycle,
-		SerializationCycle: start,
-	}
-	s.t.emitStaleness(s.opts.Recorder, s.Name(), s.cur.Cycle)
-	s.t.reset()
-	return info, nil
+	info, err := s.commit(s.Name())
+	info.SerializationCycle = info.StartCycle
+	return info, err
 }

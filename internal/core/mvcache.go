@@ -19,22 +19,15 @@ import (
 // number of retained versions is a property of each client, not of the
 // server.
 type mvCache struct {
-	opts Options
-
-	cur   *broadcast.Bcast
-	prev  *broadcast.Bcast
-	multi *cache.MultiCache
-	t     txn
-	cu    model.Cycle // first cycle an item of the readset was invalidated
+	session // its cache is multi's current-version partition
+	multi   *cache.MultiCache
+	cu      model.Cycle // first cycle an item of the readset was invalidated
 
 	// invalidate is the per-cycle invalidation callback, built once at
 	// construction; invCycle carries the cycle it applies, so NewCycle
 	// allocates no capturing closure.
 	invalidate func(model.ItemID)
 	invCycle   model.Cycle
-	// keyScratch and invScratch are per-cycle walk scratch, reused.
-	keyScratch []model.ItemID
-	invScratch []model.ItemID
 }
 
 var _ Scheme = (*mvCache)(nil)
@@ -55,7 +48,7 @@ func newMVCache(opts Options) (*mvCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &mvCache{opts: opts, multi: multi}
+	s := &mvCache{session: session{opts: opts, cache: multi.Current()}, multi: multi}
 	s.invalidate = func(item model.ItemID) { s.multi.Invalidate(item, s.invCycle) }
 	return s, nil
 }
@@ -66,21 +59,6 @@ func (s *mvCache) Name() string { return "mv-cache" }
 // Kind implements Scheme.
 func (s *mvCache) Kind() Kind { return KindMVCache }
 
-// Active implements Scheme.
-func (s *mvCache) Active() bool { return s.t.active }
-
-// Begin implements Scheme.
-func (s *mvCache) Begin() error {
-	if s.cur == nil {
-		return fmt.Errorf("core: Begin before first cycle")
-	}
-	if err := s.t.begin(s.opts.Recorder != nil); err != nil {
-		return err
-	}
-	s.cu = 0
-	return nil
-}
-
 // Abort implements Scheme.
 func (s *mvCache) Abort() { s.t.reset(); s.cu = 0 }
 
@@ -88,22 +66,13 @@ func (s *mvCache) Abort() { s.t.reset(); s.cu = 0 }
 //
 //lint:hotpath runs once per client per broadcast cycle
 func (s *mvCache) NewCycle(b *broadcast.Bcast) error {
-	if s.cur != nil {
-		if b.Cycle <= s.cur.Cycle {
-			return nil // duplicate or late frame: already processed
-		}
-		if b.Cycle != s.cur.Cycle+1 {
-			// Undeclared gap: downgrade the lost cycles to misses.
-			if err := missRange(s, s.cur.Cycle+1, b.Cycle); err != nil {
-				return err
-			}
-		}
+	if ok, err := s.admit(s, b, false); !ok {
+		return err
 	}
-	s.prev, s.cur = s.cur, b
 	// Autoprefetch invalidated current pages with the values from the
 	// previous cycle, then apply this cycle's report (demoting displaced
 	// versions into the old partition).
-	s.invScratch = autoprefetch(s.multi.Current(), s.prev, s.invScratch)
+	s.advance(b)
 	s.invCycle = b.Cycle
 	b.EachInvalidated(s.opts.BucketGranularity, s.invalidate)
 	if s.t.active && s.t.doomed == nil && s.cu == 0 {
@@ -163,22 +132,7 @@ func (s *mvCache) ServeLocal(item model.ItemID) (Read, bool, error) {
 
 // ServeChannel implements Scheme.
 func (s *mvCache) ServeChannel(item model.ItemID, pos int) (Read, int, error) {
-	if err := s.t.checkServable(); err != nil {
-		return Read{}, 0, err
-	}
-	if s.cur.Position(item) < 0 {
-		if s.cur.InDatabase(item) {
-			// Not in this interval's chunk (§7 h-interval organization);
-			// the item comes around in a later becast.
-			return Read{}, 0, ErrNextCycle
-		}
-		return Read{}, 0, fmt.Errorf("core: %v not in the database", item)
-	}
-	slot := s.cur.NextPosition(item, pos)
-	if slot < 0 {
-		return Read{}, 0, ErrNextCycle
-	}
-	v, err := s.cur.ReadCurrent(item)
+	v, slot, err := s.onAir(item, pos)
 	if err != nil {
 		return Read{}, 0, err
 	}
@@ -193,37 +147,14 @@ func (s *mvCache) ServeChannel(item model.ItemID, pos int) (Read, int, error) {
 	return s.deliver(item, v, SourceBroadcast, slot), slot, nil
 }
 
-func (s *mvCache) deliver(item model.ItemID, v model.Version, src ReadSource, slot int) Read {
-	ro := model.ReadObservation{Item: item, Value: v.Value, Version: v.Cycle, Writer: v.Writer}
-	s.t.record(ro, s.cur)
-	recordRead(s.opts.Recorder, s.cur.Cycle, slot, item, v, src)
-	return Read{Obs: ro, Source: src}
-}
-
 // Commit implements Scheme. Theorem 5: a degraded transaction's readset
 // corresponds to the state broadcast at cu-1; an undisturbed one reads the
 // current state.
 func (s *mvCache) Commit() (CommitInfo, error) {
-	if err := s.t.checkServable(); err != nil {
-		s.t.reset()
-		return CommitInfo{}, err
+	info, err := s.commit(s.Name())
+	if err == nil && s.cu != 0 {
+		info.SerializationCycle = s.cu - 1
 	}
-	ser := s.cur.Cycle
-	if s.cu != 0 {
-		ser = s.cu - 1
-	}
-	start := s.t.start
-	if start == 0 {
-		start = s.cur.Cycle
-	}
-	info := CommitInfo{
-		Reads:              s.t.committedReads(),
-		StartCycle:         start,
-		CommitCycle:        s.cur.Cycle,
-		SerializationCycle: ser,
-	}
-	s.t.emitStaleness(s.opts.Recorder, s.Name(), s.cur.Cycle)
-	s.t.reset()
 	s.cu = 0
-	return info, nil
+	return info, err
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"bpush/internal/broadcast"
-	"bpush/internal/cache"
 	"bpush/internal/det"
 	"bpush/internal/model"
 	"bpush/internal/obs"
@@ -27,21 +26,13 @@ import (
 // to be stored, and only the subgraphs from the first invalidation cycle
 // onward are retained (the Lemma 1 space bound).
 type sgt struct {
-	opts Options
-
+	session
 	graph  *sg.Graph
-	cur    *broadcast.Bcast
-	prev   *broadcast.Bcast
-	cache  *cache.Cache // nil when cacheless
-	t      txn
 	resync bool // a cycle was missed; the next NewCycle may jump
 
 	// targets are R's precedence targets (the heads of its outgoing
 	// edges), without duplicates, in the order they were found.
 	targets []model.TxID
-	// keyScratch and invScratch are per-cycle walk scratch, reused.
-	keyScratch []model.ItemID
-	invScratch []model.ItemID
 	// invalidFrom is c_o: the cycle of the first readset invalidation,
 	// the floor below which subgraphs can be pruned.
 	invalidFrom model.Cycle
@@ -54,15 +45,11 @@ type sgt struct {
 var _ Scheme = (*sgt)(nil)
 
 func newSGT(opts Options) (*sgt, error) {
-	s := &sgt{opts: opts, graph: sg.New()}
-	if opts.CacheSize > 0 {
-		c, err := cache.New(opts.CacheSize)
-		if err != nil {
-			return nil, err
-		}
-		s.cache = c
+	ss, err := newSession(opts)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &sgt{session: ss, graph: sg.New()}, nil
 }
 
 // Name implements Scheme.
@@ -75,21 +62,6 @@ func (s *sgt) Name() string {
 
 // Kind implements Scheme.
 func (s *sgt) Kind() Kind { return KindSGT }
-
-// Active implements Scheme.
-func (s *sgt) Active() bool { return s.t.active }
-
-// Begin implements Scheme.
-func (s *sgt) Begin() error {
-	if s.cur == nil {
-		return fmt.Errorf("core: Begin before first cycle")
-	}
-	if err := s.t.begin(s.opts.Recorder != nil); err != nil {
-		return err
-	}
-	s.clearTxnGraphState()
-	return nil
-}
 
 // Abort implements Scheme.
 func (s *sgt) Abort() {
@@ -109,20 +81,11 @@ func (s *sgt) clearTxnGraphState() {
 //
 //lint:hotpath runs once per client per broadcast cycle
 func (s *sgt) NewCycle(b *broadcast.Bcast) error {
-	if s.cur != nil {
-		if b.Cycle <= s.cur.Cycle {
-			return nil // duplicate or late frame: already processed
-		}
-		if b.Cycle != s.cur.Cycle+1 && !s.resync {
-			// Undeclared gap: downgrade the lost cycles to misses.
-			if err := missRange(s, s.cur.Cycle+1, b.Cycle); err != nil {
-				return err
-			}
-		}
+	if ok, err := s.admit(s, b, s.resync); !ok {
+		return err
 	}
 	s.resync = false
-	s.prev, s.cur = s.cur, b
-	s.invScratch = autoprefetch(s.cache, s.prev, s.invScratch)
+	s.advance(b)
 
 	// Space bound (Lemma 1): only subgraphs from c_o onward matter; with
 	// no invalidated active transaction, nothing before the current
@@ -195,7 +158,7 @@ func (s *sgt) MissCycle(c model.Cycle) error {
 			s.t.doomed = abortErr("missed cycle %v (serialization-graph delta lost)", c)
 		}
 	}
-	flushCache(s.cache)
+	s.flushCache()
 	s.resync = true
 	return nil
 }
@@ -220,22 +183,7 @@ func (s *sgt) ServeLocal(item model.ItemID) (Read, bool, error) {
 
 // ServeChannel implements Scheme.
 func (s *sgt) ServeChannel(item model.ItemID, pos int) (Read, int, error) {
-	if err := s.t.checkServable(); err != nil {
-		return Read{}, 0, err
-	}
-	if s.cur.Position(item) < 0 {
-		if s.cur.InDatabase(item) {
-			// Not in this interval's chunk (§7 h-interval organization);
-			// the item comes around in a later becast.
-			return Read{}, 0, ErrNextCycle
-		}
-		return Read{}, 0, fmt.Errorf("core: %v not in the database", item)
-	}
-	slot := s.cur.NextPosition(item, pos)
-	if slot < 0 {
-		return Read{}, 0, ErrNextCycle
-	}
-	v, err := s.cur.ReadCurrent(item)
+	v, slot, err := s.onAir(item, pos)
 	if err != nil {
 		return Read{}, 0, err
 	}
@@ -275,36 +223,14 @@ func (s *sgt) accept(item model.ItemID, v model.Version) error {
 	return nil
 }
 
-func (s *sgt) deliver(item model.ItemID, v model.Version, src ReadSource, slot int) Read {
-	ro := model.ReadObservation{Item: item, Value: v.Value, Version: v.Cycle, Writer: v.Writer}
-	s.t.record(ro, s.cur)
-	recordRead(s.opts.Recorder, s.cur.Cycle, slot, item, v, src)
-	return Read{Obs: ro, Source: src}
-}
-
 // Commit implements Scheme. SGT serializes R against a state produced by a
 // serializable execution of a subset of the transactions committed during
 // R's lifetime — not necessarily a broadcast state — so SerializationCycle
 // is 0 and correctness is certified by the acyclicity argument (the
 // simulator's oracle rebuilds the full graph including R).
 func (s *sgt) Commit() (CommitInfo, error) {
-	if err := s.t.checkServable(); err != nil {
-		s.t.reset()
-		s.clearTxnGraphState()
-		return CommitInfo{}, err
-	}
-	start := s.t.start
-	if start == 0 {
-		start = s.cur.Cycle
-	}
-	info := CommitInfo{
-		Reads:              s.t.committedReads(),
-		StartCycle:         start,
-		CommitCycle:        s.cur.Cycle,
-		SerializationCycle: 0,
-	}
-	s.t.emitStaleness(s.opts.Recorder, s.Name(), s.cur.Cycle)
-	s.t.reset()
+	info, err := s.commit(s.Name())
+	info.SerializationCycle = 0
 	s.clearTxnGraphState()
-	return info, nil
+	return info, err
 }

@@ -189,15 +189,12 @@ func New(cfg Config) (*Source, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	cfg.Workers = max(cfg.Workers, 1)
 	// The server starts unobserved: a durable source may have to replay
 	// recovered cycles, whose events were emitted by the run that
 	// produced them. The recorder attaches once live production can
 	// begin, so restart traces concatenate to the uninterrupted trace.
-	srv, err := server.New(server.Config{DBSize: cfg.DBSize, MaxVersions: cfg.Versions, Workers: workers})
+	srv, err := server.New(server.Config{DBSize: cfg.DBSize, MaxVersions: cfg.Versions, Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +272,7 @@ func (s *Source) resume(produced int) error {
 			return err
 		}
 		if snap != nil && snap.Seq <= uint64(produced) && snap.Seq > 0 {
-			srv, err := server.Restore(server.Config{DBSize: s.cfg.DBSize, MaxVersions: s.cfg.Versions, Workers: workerCount(s.cfg.Workers)}, snap.State)
+			srv, err := server.Restore(server.Config{DBSize: s.cfg.DBSize, MaxVersions: s.cfg.Versions, Workers: s.cfg.Workers}, snap.State)
 			if err != nil {
 				return err
 			}
@@ -307,13 +304,6 @@ func (s *Source) resume(produced int) error {
 	s.base = produced
 	s.pruneArchive()
 	return nil
-}
-
-func workerCount(w int) int {
-	if w < 1 {
-		return 1
-	}
-	return w
 }
 
 // Get returns the i-th becast (0-based), producing cycles up to i if they

@@ -7,8 +7,6 @@ import (
 	"net"
 	"net/http"
 	pprof "net/http/pprof"
-	"sort"
-	"strings"
 	"time"
 
 	"bpush/internal/obs"
@@ -19,8 +17,7 @@ import (
 //	GET /metricsz  — the metric registry as JSON (counters, gauges,
 //	                 histograms with bucket layouts and quantiles)
 //	GET /statusz   — a plain-text operator summary: configuration,
-//	                 traffic, per-shard fan-out state, latency tiers,
-//	                 per-scheme staleness
+//	                 traffic, per-shard fan-out state, latency tiers
 //	GET /tracez    — the most recent trace events, oldest first
 //
 // With StationConfig.Pprof the standard net/http/pprof handlers are
@@ -114,7 +111,6 @@ func writeStatus(out io.Writer, s *Station) {
 		}
 	}
 	writeTierSection(w, snap)
-	writeStalenessSection(w, snap)
 }
 
 // writeTierSection renders the latency-attribution tiers present in the
@@ -142,38 +138,6 @@ func writeTierSection(w *statusWriter, snap obs.RegistrySnapshot) {
 	for _, l := range lines {
 		w.printf("%s\n", l)
 	}
-}
-
-// writeStalenessSection renders the per-scheme staleness histograms, one
-// line per scheme in sorted name order.
-func writeStalenessSection(w *statusWriter, snap obs.RegistrySnapshot) {
-	methods := stalenessMethods(snap)
-	if len(methods) == 0 {
-		return
-	}
-	w.printf("\nstaleness (cycles, per committed read)\n")
-	for _, m := range methods {
-		age := snap.Histograms["staleness."+m+".age_cycles"]
-		lag := snap.Histograms["staleness."+m+".lag_cycles"]
-		ap50, ap95, ap99 := snapQuantiles(age)
-		w.printf("  %-18s reads=%-7d age p50=%-5.1f p95=%-5.1f p99=%-5.1f max=%-5.0f lag max=%.0f\n",
-			m, age.Count, ap50, ap95, ap99, age.Max, lag.Max)
-	}
-}
-
-// stalenessMethods lists the schemes with staleness histograms in the
-// snapshot, sorted.
-func stalenessMethods(snap obs.RegistrySnapshot) []string {
-	var out []string
-	for name := range snap.Histograms {
-		if m, ok := strings.CutPrefix(name, "staleness."); ok {
-			if m, ok := strings.CutSuffix(m, ".age_cycles"); ok {
-				out = append(out, m)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // snapQuantiles recomputes p50/p95/p99 exactly from a snapshot's bucket

@@ -219,8 +219,8 @@ func TestStationWithoutHTTP(t *testing.T) {
 // TestRegRecorderSteadyStateAllocs pins the registry recorder's per-event
 // cost: once an event's metrics exist, folding another event with the same
 // type (and the same Reason or Method, where its metric names carry one)
-// allocates nothing. It covers every event type the station's producer,
-// fan-out and tick loop or a ClientRecorder user records, and checks that
+// allocates nothing. It covers the event types of the station's producer,
+// fan-out and tick loop and those of a client trace, and checks that
 // sg.delta_edges sums the sg-delta events' edge counts.
 func TestRegRecorderSteadyStateAllocs(t *testing.T) {
 	r := &regRecorder{reg: obs.NewRegistry()}
@@ -243,8 +243,6 @@ func TestRegRecorderSteadyStateAllocs(t *testing.T) {
 		{Type: obs.TypeSpan, Reason: obs.SpanCommit, N: 900_000},
 		{Type: obs.TypeSpan, Reason: obs.SpanOnAir, N: 4_000},
 		{Type: obs.TypeFault, Reason: "drop"},
-		{Type: obs.TypeStaleness, Method: "sgt", Ser: 3, Cycles: 2, Span: 1, N: 1},
-		{Type: obs.TypeStaleness, Method: "mv", Ser: 3, Cycles: 1},
 	} {
 		r.Record(e)
 		allocs := testing.AllocsPerRun(100, func() { r.Record(e) })
@@ -270,8 +268,5 @@ func TestRegRecorderSteadyStateAllocs(t *testing.T) {
 	}
 	if got := r.reg.Counter("producer.execute.units").Value(); got != 102*1918 {
 		t.Errorf("producer.execute.units = %d, want %d", got, 102*1918)
-	}
-	if got := r.reg.Histogram("staleness.sgt.age_cycles", nil).Snapshot().Count; got != 102 {
-		t.Errorf("staleness.sgt.age_cycles holds %d samples, want 102", got)
 	}
 }

@@ -127,32 +127,6 @@ func TestSamplingDisabledHasNoSpanMetrics(t *testing.T) {
 	}
 }
 
-// TestClientRecorderFoldsStaleness pins the measured-client seam: scheme
-// staleness events recorded through Station.ClientRecorder land in the
-// per-scheme registry histograms the /metricsz page exports.
-func TestClientRecorderFoldsStaleness(t *testing.T) {
-	st := sampledStation(t, nil)
-	rec := st.ClientRecorder()
-	for i, e := range []obs.Event{
-		{Type: obs.TypeStaleness, T: obs.At(7, 0), Method: "inv-only", Item: 3, Ser: 7, Cycles: 0, Span: 1, N: 0},
-		{Type: obs.TypeStaleness, T: obs.At(9, 1), Method: "multiversion", Item: 5, Ser: 6, Cycles: 3, Span: 2, N: 2},
-	} {
-		rec.Record(e)
-		_ = i
-	}
-	snap := st.Registry().Snapshot()
-	age, ok := snap.Histograms["staleness.multiversion.age_cycles"]
-	if !ok || age.Count != 1 || age.Max != 3 {
-		t.Fatalf("staleness.multiversion.age_cycles = %+v, ok=%v", age, ok)
-	}
-	if lag := snap.Histograms["staleness.inv-only.lag_cycles"]; lag.Count != 1 || lag.Max != 0 {
-		t.Errorf("staleness.inv-only.lag_cycles = %+v", lag)
-	}
-	if got := stalenessMethods(snap); len(got) != 2 || got[0] != "inv-only" || got[1] != "multiversion" {
-		t.Errorf("stalenessMethods = %v", got)
-	}
-}
-
 // TestStatuszEndpoint checks the operator page renders the configured
 // sections, and that pprof stays unmounted unless opted into.
 func TestStatuszEndpoint(t *testing.T) {
@@ -168,7 +142,6 @@ func TestStatuszEndpoint(t *testing.T) {
 		}
 	}
 	waitQueuesDrained(t, st.Cast())
-	st.ClientRecorder().Record(obs.Event{Type: obs.TypeStaleness, T: obs.At(4, 0), Method: "sgt", Cycles: 1, Span: 1})
 
 	resp, err := http.Get(fmt.Sprintf("http://%s/statusz", st.MetricsAddr()))
 	if err != nil {
@@ -180,7 +153,7 @@ func TestStatuszEndpoint(t *testing.T) {
 		t.Fatalf("GET /statusz: status %d err %v", resp.StatusCode, err)
 	}
 	page := string(body)
-	for _, want := range []string{"bpush station", "traffic", "shards", "latency tiers", "commit", "on-air", "staleness", "sgt"} {
+	for _, want := range []string{"bpush station", "traffic", "shards", "latency tiers", "commit", "on-air"} {
 		if !strings.Contains(page, want) {
 			t.Errorf("/statusz missing %q:\n%s", want, page)
 		}
@@ -274,13 +247,13 @@ func TestMetricsStatusRaceUnderBroadcast(t *testing.T) {
 	}
 }
 
-// TestClientRecorderRaceUnderTick hammers the station's shared registry
-// recorder, and with it the per-type counter cache behind events.<type>,
-// from several client goroutines while the producer ticks into the same
-// recorder and /metricsz renders the registry. Under -race it flushes out
+// TestRegRecorderRaceUnderTick hammers the station's registry recorder,
+// and with it the per-type counter cache behind events.<type>, from
+// several goroutines while the producer ticks into the same recorder and
+// /metricsz renders the registry. Under -race it flushes out
 // unsynchronized cache access; the final counts show that no increment
 // was lost to a racing first use of a type.
-func TestClientRecorderRaceUnderTick(t *testing.T) {
+func TestRegRecorderRaceUnderTick(t *testing.T) {
 	st := sampledStation(t, nil)
 	if _, ok := st.Registry().Snapshot().Counters["events.commit"]; ok {
 		t.Fatal("events.commit exists before any commit event")
@@ -302,10 +275,9 @@ func TestClientRecorderRaceUnderTick(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rec := st.ClientRecorder()
 			for i := 0; i < perClient; i++ {
-				rec.Record(obs.Event{Type: obs.TypeCommit, Method: "sgt"})
-				rec.Record(obs.Event{Type: obs.TypeStaleness, Method: "sgt", Cycles: i % 4, N: 1, Span: 2})
+				st.rec.Record(obs.Event{Type: obs.TypeCommit, Method: "sgt"})
+				st.rec.Record(obs.Event{Type: obs.TypeFault, Reason: "drop"})
 			}
 		}()
 	}
@@ -328,7 +300,7 @@ func TestClientRecorderRaceUnderTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	counters := st.Registry().Snapshot().Counters
-	for _, name := range []string{"events.commit", "events.staleness"} {
+	for _, name := range []string{"events.commit", "events.fault", "faults.drop"} {
 		if got := counters[name]; got != clients*perClient {
 			t.Errorf("%s = %d, want %d", name, got, clients*perClient)
 		}

@@ -108,7 +108,6 @@ type Station struct {
 	reg   *obs.Registry
 	ring  *obs.Ring
 	rec   obs.Recorder   // ring + registry tee, the producer-side sink
-	fold  *regRecorder   // the registry half of rec, shared with clients
 	clock obs.Sampler    // non-nil iff cfg.Sample: the tick loop's tier clock
 	http  *metricsServer // nil unless cfg.HTTPAddr
 
@@ -123,12 +122,10 @@ type Station struct {
 // regRecorder folds trace events into the station's metric registry: one
 // counter per event type, per-kind fault counters, per-phase producer
 // pipeline unit counters, the producer's SG-delta edge total,
-// latency-tier span histograms, per-scheme staleness histograms, and a
-// cycle-length histogram. It must stay clock-free: it sits in
+// latency-tier span histograms, and a cycle-length histogram. It must stay clock-free: it sits in
 // bpush-lint's deterministic scope (every obs.Recorder implementation
 // does), and span events already carry their nanosecond measurements from
-// the emitting tier's sampler. It is safe for concurrent use: the
-// producer and any in-process client recording into it share one.
+// the emitting tier's sampler. It is safe for concurrent use.
 type regRecorder struct {
 	reg *obs.Registry
 	mu  sync.Mutex
@@ -139,7 +136,7 @@ type regRecorder struct {
 }
 
 // foldKey names the metrics one event updates: its type and, for the
-// types whose metric names carry it, the event's Reason or Method.
+// types whose metric names carry it, the event's Reason.
 type foldKey struct {
 	t    obs.Type
 	name string
@@ -150,9 +147,8 @@ type foldHandles struct {
 	events *obs.Counter // events.<type>
 	// count is faults.<kind>, producer.<phase>.units or sg.delta_edges.
 	count *obs.Counter
-	// hists is cycle.slots, span.<tier>_ns, or the three
-	// staleness.<method>.{age,lag,span}_cycles histograms.
-	hists [3]*obs.Histogram
+	// hists is cycle.slots or span.<tier>_ns.
+	hist *obs.Histogram
 }
 
 // lookup returns e's handles, creating them on their key's first event.
@@ -161,8 +157,6 @@ func (r *regRecorder) lookup(e obs.Event) foldHandles {
 	switch e.Type {
 	case obs.TypeFault, obs.TypeProducerPhase, obs.TypeSpan:
 		k.name = e.Reason
-	case obs.TypeStaleness:
-		k.name = e.Method
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -182,7 +176,7 @@ func (r *regRecorder) register(k foldKey) foldHandles {
 	h := foldHandles{events: r.reg.Counter("events." + string(k.t))}
 	switch k.t {
 	case obs.TypeCycleEnd:
-		h.hists[0] = r.reg.Histogram("cycle.slots", cycleSlotBounds)
+		h.hist = r.reg.Histogram("cycle.slots", cycleSlotBounds)
 	case obs.TypeFault:
 		h.count = r.reg.Counter("faults." + k.name)
 	case obs.TypeProducerPhase:
@@ -192,12 +186,7 @@ func (r *regRecorder) register(k foldKey) foldHandles {
 	case obs.TypeSGDelta:
 		h.count = r.reg.Counter("sg.delta_edges")
 	case obs.TypeSpan:
-		h.hists[0] = r.reg.Histogram(spanMetric(k.name), spanNsBounds)
-	case obs.TypeStaleness:
-		p := "staleness." + k.name + "."
-		h.hists[0] = r.reg.Histogram(p+"age_cycles", stalenessCycleBounds)
-		h.hists[1] = r.reg.Histogram(p+"lag_cycles", stalenessCycleBounds)
-		h.hists[2] = r.reg.Histogram(p+"span_cycles", stalenessCycleBounds)
+		h.hist = r.reg.Histogram(spanMetric(k.name), spanNsBounds)
 	}
 	return h
 }
@@ -217,10 +206,6 @@ var spanNsBounds = []float64{
 // 0 bound separates fully drained subscribers from lagging ones.
 var queueDepthBounds = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// stalenessCycleBounds buckets per-read currency distances in cycles;
-// the 0 bound isolates perfectly current reads.
-var stalenessCycleBounds = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
-
 // spanMetric maps a span tier name to its histogram metric name
 // ("on-air" -> "span.on_air_ns").
 func spanMetric(tier string) string {
@@ -232,36 +217,25 @@ func (r *regRecorder) Record(e obs.Event) {
 	h.events.Inc()
 	switch e.Type {
 	case obs.TypeCycleEnd:
-		h.hists[0].Observe(float64(e.Slots))
+		h.hist.Observe(float64(e.Slots))
 	case obs.TypeFault:
 		h.count.Inc()
 	case obs.TypeProducerPhase, obs.TypeSGDelta:
 		h.count.Add(e.N)
 	case obs.TypeSpan:
-		h.hists[0].Observe(float64(e.N))
-	case obs.TypeStaleness:
-		h.hists[0].Observe(float64(e.Cycles))
-		h.hists[1].Observe(float64(e.N))
-		h.hists[2].Observe(float64(e.Span))
+		h.hist.Observe(float64(e.N))
 	}
 }
 
 // NewStation builds and starts a station. With a non-zero interval a
 // background ticker drives the cycles; stop it with Close.
 func NewStation(cfg StationConfig) (*Station, error) {
-	if cfg.DBSize <= 0 || cfg.Versions < 1 {
-		return nil, fmt.Errorf("netcast: invalid station DBSize/Versions %d/%d", cfg.DBSize, cfg.Versions)
-	}
-	if cfg.Workload.DBSize != cfg.DBSize {
-		return nil, fmt.Errorf("netcast: workload DBSize %d != station DBSize %d", cfg.Workload.DBSize, cfg.DBSize)
-	}
 	if cfg.Pprof && cfg.HTTPAddr == "" {
 		return nil, fmt.Errorf("netcast: Pprof requires HTTPAddr")
 	}
 	reg := obs.NewRegistry()
 	ring := obs.NewRing(traceRing)
-	fold := &regRecorder{reg: reg}
-	rec := obs.Tee(ring, fold)
+	rec := obs.Tee(ring, &regRecorder{reg: reg})
 	var clock obs.Sampler
 	if cfg.Sample {
 		// The one place the station touches the clock; every measured
@@ -337,7 +311,6 @@ func NewStation(cfg StationConfig) (*Station, error) {
 		reg:     reg,
 		ring:    ring,
 		rec:     rec,
-		fold:    fold,
 		clock:   clock,
 		next:    int(src.Produced()),
 		mangler: mangler,

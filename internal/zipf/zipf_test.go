@@ -166,15 +166,6 @@ func mustNew(cfg Config) *Dist {
 	return d
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew with invalid config did not panic")
-		}
-	}()
-	mustNew(Config{N: -1})
-}
-
 func BenchmarkSample(b *testing.B) {
 	d := mustNew(Config{N: 1000, Theta: 0.95})
 	rng := rand.New(rand.NewSource(1))
